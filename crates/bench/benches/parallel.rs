@@ -1,10 +1,10 @@
 //! Criterion bench: sequential vs pooled trailing update (the
-//! shared-memory Y-MP-style parallelism), plus the parallel gemm
-//! kernel itself.
+//! shared-memory Y-MP-style parallelism), plus the sequential gemm
+//! kernel the pooled update runs per strip.
 
 use bs_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use bs_core::{factor_spd, SchurOptions};
-use bs_matrix::{gemm, par_gemm, ExecPolicy, Matrix, Trans};
+use bs_matrix::{gemm, ExecPolicy, Matrix, Trans};
 use bs_toeplitz::workloads;
 
 fn bench_parallel_factor(c: &mut Criterion) {
@@ -35,10 +35,6 @@ fn bench_gemm(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("seq", n), &n, |bch, _| {
             let mut cm = Matrix::zeros(n, n);
             bch.iter(|| gemm(1.0, a.rf(), Trans::No, b_.rf(), Trans::No, 0.0, cm.mt()));
-        });
-        g.bench_with_input(BenchmarkId::new("par", n), &n, |bch, _| {
-            let mut cm = Matrix::zeros(n, n);
-            bch.iter(|| par_gemm(1.0, a.rf(), Trans::No, b_.rf(), Trans::No, 0.0, cm.mt()));
         });
     }
     g.finish();

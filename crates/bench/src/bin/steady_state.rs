@@ -1,12 +1,12 @@
 //! Steady-state solver benchmark: repeated factor/solve cycles against
 //! a stream of same-shaped SPD block Toeplitz systems, comparing a warm
-//! [`ToeplitzSolver`] (plan + workspace reused via `refactor`) against
-//! a cold solver per system and against the per-call-allocation
-//! baseline (same plan, pooling disabled).
+//! [`Factor`] (plan and [`PlanWorkspace`] reused via
+//! [`Factor::refactor`]) against a cold factor per system and against
+//! the per-call-allocation baseline (same plan, pooling disabled).
 //!
 //! The warm path must perform **zero** workspace allocations inside the
 //! measured loop — after one warm-up refactor the retired triangular
-//! factor is donated for direct reuse (skipping even the defensive
+//! factor is recycled for direct reuse (skipping even the defensive
 //! zero-fill) and everything else comes out of the recycled pool. That
 //! invariant is asserted here via the bs-probe-backed workspace
 //! counters, not just reported.
@@ -25,8 +25,8 @@
 
 use bs_bench::{emit_bench, ms, print_table, quick_mode};
 use bs_core::{
-    Factorization, PlanRequest, PlanWorkspace, Precision, SchurOptions, SolverOptions,
-    ToeplitzSolver,
+    Factor, FactorPlan, Factorization, IndefOptions, PlanRequest, PlanWorkspace, Precision,
+    RefineOptions, SchurOptions,
 };
 use bs_matrix::{ExecPolicy, Partition};
 use bs_perfmodel::tradeoff;
@@ -36,6 +36,12 @@ use std::time::Instant;
 
 /// Systems in the steady-state stream (refactor/solve cycles per round).
 const SYSTEMS: usize = 8;
+
+/// Factor `t` under a cost-model plan for `req`.
+fn factor_with(t: &bs_toeplitz::SymBlockToeplitz, req: &PlanRequest) -> Factor {
+    let plan = FactorPlan::new(t, req).expect("plan");
+    Factor::from_plan(t, plan, RefineOptions::default()).expect("factorization")
+}
 
 fn solve_factorization(f: &Factorization, b: &[f64]) -> Vec<f64> {
     match f {
@@ -81,12 +87,14 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
     // Let the cost model pick representation and algorithmic block
     // size (the plan/execute engine's auto-selection path).
     let req = PlanRequest::default();
-    let mut solver =
-        ToeplitzSolver::with_plan_request(&systems[0], &req).expect("initial factorization");
-    // One warm-up refactor donates the retired factor storage for
+    let mut solver = factor_with(&systems[0], &req);
+    let mut pw = PlanWorkspace::new();
+    // One warm-up refactor recycles the retired factor storage for
     // reuse; from here on the elimination loop is allocation-free.
-    solver.refactor(&systems[1]).expect("warm-up refactor");
-    solver.reset_workspace_stats();
+    solver
+        .refactor(&systems[1], &mut pw)
+        .expect("warm-up refactor");
+    pw.reset_stats();
     let per_factor_flops = solver.plan().predicted_flops();
 
     // The per-call-allocation baseline runs the same plan through a
@@ -110,7 +118,7 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
             match (round.max(0) as u64 + k) % 3 {
                 0 => {
                     for (t, b) in systems.iter().zip(&rhs) {
-                        solver.refactor(t).expect("steady-state refactor");
+                        solver.refactor(t, &mut pw).expect("steady-state refactor");
                         let x = solver.solve(b).expect("steady-state solve");
                         check += x[0];
                     }
@@ -120,10 +128,9 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
                     }
                 }
                 1 => {
-                    // Cold baseline: fresh solver (plan + pool) per system.
+                    // Cold baseline: fresh factor (plan + pool) per system.
                     for (t, b) in systems.iter().zip(&rhs) {
-                        let cold =
-                            ToeplitzSolver::with_plan_request(t, &req).expect("cold factorization");
+                        let cold = factor_with(t, &req);
                         let x = cold.solve(b).expect("cold solve");
                         check += x[0];
                     }
@@ -152,12 +159,15 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
         }
     }
 
-    let allocations = solver.workspace_allocations();
-    let high_water = solver.workspace_high_water();
+    let allocations = pw.allocations();
+    let high_water = pw.high_water_elems();
     let percall_allocs_per_cycle = percall_total_allocs / iters as u64;
     let cold_allocs_per_cycle = {
-        let c = ToeplitzSolver::with_plan_request(&systems[0], &req).expect("cold factorization");
-        c.workspace_allocations()
+        let mut cold = PlanWorkspace::new();
+        let _f = plan
+            .execute(&systems[0], &mut cold)
+            .expect("cold factorization");
+        cold.allocations()
     };
     assert_eq!(
         allocations, 0,
@@ -223,28 +233,30 @@ fn bench_exec_sweep(m: usize, p: usize, rounds: usize, assert_speedup_floor: boo
     let mut seq_round = f64::INFINITY;
     let mut seq_x0: Vec<f64> = Vec::new();
     for &threads in &sweep {
-        let opts = SolverOptions {
-            spd: SchurOptions {
-                exec: ExecPolicy {
-                    threads,
-                    min_work,
-                    partition: Partition::Auto,
-                },
-                ..Default::default()
+        let spd = SchurOptions {
+            exec: ExecPolicy {
+                threads,
+                min_work,
+                partition: Partition::Auto,
             },
             ..Default::default()
         };
-        let mut solver =
-            ToeplitzSolver::with_options(&systems[0], &opts).expect("sweep factorization");
+        let plan = FactorPlan::from_options(&systems[0], &spd, &IndefOptions::default())
+            .expect("sweep plan");
+        let mut solver = Factor::from_plan(&systems[0], plan, RefineOptions::default())
+            .expect("sweep factorization");
         let round_flops = (solver.plan().predicted_flops() * SYSTEMS as f64) as u64;
-        solver.refactor(&systems[1]).expect("sweep warm-up");
-        solver.reset_workspace_stats();
+        let mut pw = PlanWorkspace::new();
+        solver
+            .refactor(&systems[1], &mut pw)
+            .expect("sweep warm-up");
+        pw.reset_stats();
         let mut best = f64::INFINITY;
         let mut x0 = Vec::new();
         for round in -1i64..rounds as i64 {
             let start = Instant::now();
             for (t, b) in systems.iter().zip(&rhs) {
-                solver.refactor(t).expect("sweep refactor");
+                solver.refactor(t, &mut pw).expect("sweep refactor");
                 x0 = solver.solve(b).expect("sweep solve");
             }
             if round >= 0 {
@@ -254,7 +266,7 @@ fn bench_exec_sweep(m: usize, p: usize, rounds: usize, assert_speedup_floor: boo
         // The zero-allocation invariant must survive the pooled path:
         // parallel strips draw from per-worker thread-local scratch,
         // never from the plan workspace.
-        let allocs = solver.workspace_allocations();
+        let allocs = pw.allocations();
         assert_eq!(
             allocs, 0,
             "n={n} threads={threads}: pooled warm loop must stay \
@@ -334,10 +346,12 @@ fn bench_precision_sweep(m: usize, p: usize, rounds: usize) {
             precision,
             ..Default::default()
         };
-        let mut solver =
-            ToeplitzSolver::with_plan_request(&systems[0], &req).expect("precision factorization");
+        let mut solver = factor_with(&systems[0], &req);
         let round_flops = (solver.plan().predicted_flops() * SYSTEMS as f64) as u64;
-        solver.refactor(&systems[1]).expect("precision warm-up");
+        let mut pw = PlanWorkspace::new();
+        solver
+            .refactor(&systems[1], &mut pw)
+            .expect("precision warm-up");
         let iters0 = metrics::total(Counter::RefineIterations);
         let stalls0 = metrics::total(Counter::MixedStallFallbacks);
         let mut best = f64::INFINITY;
@@ -345,7 +359,7 @@ fn bench_precision_sweep(m: usize, p: usize, rounds: usize) {
         for round in -1i64..rounds as i64 {
             let start = Instant::now();
             for (t, b) in systems.iter().zip(&rhs) {
-                solver.refactor(t).expect("precision refactor");
+                solver.refactor(t, &mut pw).expect("precision refactor");
                 let x = solver.solve(b).expect("precision solve");
                 assert!(x[0].is_finite(), "precision {precision:?} produced NaN");
             }
@@ -399,7 +413,7 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
         threads: Some(threads),
         ..Default::default()
     };
-    let plan = bs_core::FactorPlan::new(&systems[0], &req).expect("batch plan");
+    let plan = FactorPlan::new(&systems[0], &req).expect("batch plan");
 
     // factor_batch vs a loop of single executes (one warm workspace,
     // the same arithmetic).
@@ -436,8 +450,8 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
         ],
     );
 
-    // solve_batch vs solve_many on one factored system.
-    let solver = ToeplitzSolver::with_plan_request(&systems[0], &req).expect("batch solver");
+    // solve_batch vs a sequential column loop on one factored system.
+    let solver = factor_with(&systems[0], &req);
     let b = bs_matrix::Matrix::from_fn(n, rhs_cols, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
     let mut sb_best = f64::INFINITY;
     let mut sm_best = f64::INFINITY;
@@ -450,7 +464,12 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
             sb_best = sb_best.min(start.elapsed().as_secs_f64());
         }
         let start = Instant::now();
-        x_loop = solver.solve_many(&b).expect("looped solve");
+        x_loop = bs_matrix::Matrix::zeros(n, rhs_cols);
+        for j in 0..rhs_cols {
+            solver
+                .solve_col_into(b.col(j), x_loop.col_mut(j))
+                .expect("looped solve");
+        }
         if round >= 0 {
             sm_best = sm_best.min(start.elapsed().as_secs_f64());
         }
@@ -458,7 +477,7 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
     assert_eq!(
         x_batch.max_abs_diff(&x_loop),
         0.0,
-        "n={n}: solve_batch must be bitwise identical to solve_many"
+        "n={n}: solve_batch must be bitwise identical to looped solves"
     );
     // Two triangular solves per column.
     let solve_flops = (2 * n * n * rhs_cols) as u64;
@@ -475,7 +494,7 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
     );
     println!(
         "batch: n = {n}, {SYSTEMS} systems, {rhs_cols} rhs — factor_batch \
-         {:.2}x vs looped, solve_batch {:.2}x vs solve_many",
+         {:.2}x vs looped, solve_batch {:.2}x vs looped",
         loop_best / batch_best,
         sm_best / sb_best
     );
@@ -548,7 +567,7 @@ fn main() {
                 ],
                 vec![
                     String::new(),
-                    "cold (fresh solver per system)".into(),
+                    "cold (fresh factor per system)".into(),
                     ms(r.cold_round / cycles),
                     format!("{}", r.cold_allocs_per_cycle),
                     format!("{:.2}x", r.percall_round / r.cold_round),
@@ -571,7 +590,7 @@ fn main() {
     for r in &results {
         println!(
             "n = {}: workspace high-water {} elements; warm speedup {:.2}x \
-             vs per-call, {:.2}x vs cold solver",
+             vs per-call, {:.2}x vs cold factor",
             r.n,
             r.high_water,
             r.percall_round / r.warm_round,

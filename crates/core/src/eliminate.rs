@@ -77,7 +77,7 @@ pub struct EngineScratch<T: Scalar = f64> {
     /// Trailing-update column buffer (indefinite kernel).
     low: Vec<T>,
     /// Pool for the indefinite factor's signature vector `d`: retired
-    /// factors donate theirs back so warm refactors reuse the storage.
+    /// factors hand theirs back so warm refactors reuse the storage.
     sig_pool: Vec<i8>,
     /// Pool for the perturbation log, recycled the same way.
     pert_pool: Vec<Perturbation>,
@@ -98,10 +98,10 @@ impl<T: Scalar> Default for EngineScratch<T> {
 }
 
 impl<T: Scalar> EngineScratch<T> {
-    /// Donate a retired indefinite factor's owned vectors back to the
-    /// scratch pools so the next `eliminate_indefinite` run reuses the
-    /// storage instead of allocating.
-    pub fn donate_indefinite(&mut self, d: Vec<i8>, perturbations: Vec<Perturbation>) {
+    /// Take back a retired indefinite factor's owned vectors so the
+    /// next `eliminate_indefinite` run reuses the storage instead of
+    /// allocating.
+    pub(crate) fn recycle_indefinite(&mut self, d: Vec<i8>, perturbations: Vec<Perturbation>) {
         if d.capacity() > self.sig_pool.capacity() {
             self.sig_pool = d;
         }
@@ -330,9 +330,9 @@ pub(crate) enum Attempt<T: Scalar = f64> {
 /// pivot policy, per-reflector trailing updates, explicit-shift
 /// generator layout. `schedule[i]` is the δ used for the i-th
 /// perturbation. The factor matrix `R` is checked out of `ws` (and
-/// returned to it on every non-`Done` exit), so a solver that donates
-/// retired factors back to the pool runs warm passes allocation-free
-/// apart from the generator build.
+/// returned to it on every non-`Done` exit), so a refactor loop that
+/// recycles retired factors into the pool runs warm passes
+/// allocation-free apart from the generator build.
 pub(crate) fn eliminate_indefinite<T: Scalar>(
     t: &SymBlockToeplitz<T>,
     opts: &IndefOptions,

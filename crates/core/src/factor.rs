@@ -1,32 +1,43 @@
-//! The immutable, shareable factorization handle.
+//! The factor-and-solve handle.
 //!
-//! [`Factor`] is the "factor once, serve forever" half of the solver
-//! split: it owns the system copy, the [`FactorPlan`], the triangular
-//! factorization, and the refinement config — and nothing mutable.
-//! Every solve surface takes `&self`, so a `Factor` behind an [`Arc`]
-//! can serve interleaved solves from any number of threads, with
-//! results bitwise identical to a sequential run (each column runs the
-//! identical per-column arithmetic regardless of which thread or
-//! tenant issues it).
+//! [`Factor`] is the one object the paper's solver is: it owns the
+//! system copy, the [`FactorPlan`], the factorization `T = RᵀR` (or
+//! `T + δT = RᵀDR`, §8) and the refinement config. Every solve surface
+//! takes `&self`, so a `Factor` behind an [`Arc`] can serve interleaved
+//! solves from any number of threads, with results bitwise identical to
+//! a sequential run (each column runs the identical per-column
+//! arithmetic regardless of which thread or tenant issues it).
 //!
-//! Per-call mutable state lives in [`SolveScratch`], checked out from
-//! the factor's embedded [`WorkspacePool`]: a serving loop stages its
+//! Per-call mutable state is a [`PooledWorkspace`] checked out from the
+//! factor's embedded [`WorkspacePool`]: a serving loop stages its
 //! right-hand sides and solutions in pooled buffers, so the steady
-//! state request path performs no heap allocation. The historical
-//! mutable façade ([`crate::ToeplitzSolver`]) is now a thin wrapper
-//! that adds warm-refactor support on top of this type.
+//! state request path performs no heap allocation. The one `&mut self`
+//! method, [`Factor::refactor`], re-factors a same-shaped system with
+//! scratch from a caller-owned [`PlanWorkspace`], so a warm refactor
+//! loop performs no heap allocation inside the elimination either.
 //!
 //! [`Arc`]: std::sync::Arc
 
-use crate::indefinite::IndefFactor;
-use crate::plan::{FactorPlan, PlanRequest, PlanWorkspace, Precision};
+use crate::indefinite::{IndefFactor, IndefOptions};
+use crate::plan::{FactorPlan, PlanWorkspace, Precision};
 use crate::refine::{solve_refined, RefineOptions};
-use crate::solver::{solve_rtdr_in_place, Factorization, SolverOptions};
+use crate::schur::{SchurOptions, SpdFactor};
+use crate::solve::solve_rtdr_in_place;
 use crate::{Error, Result};
 use bs_matrix::pool::{PooledWorkspace, WorkspacePool};
-use bs_matrix::{par, ExecPolicy, Matrix, Workspace};
+use bs_matrix::{par, Matrix};
 use bs_toeplitz::SymBlockToeplitz;
 use std::sync::{Mutex, OnceLock};
+
+/// Which factorization a [`Factor`] ended up with.
+#[derive(Debug, Clone)]
+#[must_use]
+pub enum Factorization {
+    /// `T = RᵀR` (positive definite path).
+    Spd(SpdFactor),
+    /// `T + δT = RᵀDR` (indefinite / singular-minor path).
+    Indefinite(IndefFactor),
+}
 
 /// An immutable factored symmetric (block) Toeplitz operator.
 ///
@@ -52,19 +63,53 @@ use std::sync::{Mutex, OnceLock};
 ///     assert!((x[0] - x_true[0]).abs() < 1e-8);
 /// }
 /// ```
+///
+/// Indefinite systems and systems with a singular minor fall back to
+/// the perturbed factorization, and every solve refines automatically:
+///
+/// ```
+/// use bs_core::Factor;
+/// use bs_toeplitz::workloads;
+///
+/// let t = workloads::paper_singular_minor_example();
+/// let (b, x_true) = workloads::rhs_for_ones(&t);
+/// let f = Factor::new(&t).unwrap();
+/// assert!(!f.is_positive_definite());
+/// let x = f.solve(&b).unwrap();
+/// assert!((x[3] - x_true[3]).abs() < 1e-10);
+/// ```
+///
+/// For a stream of same-shaped systems, keep one factor and one
+/// [`PlanWorkspace`] and [`refactor`](Self::refactor): the plan and the
+/// workspace are reused and the warm elimination loop allocates nothing.
+///
+/// ```
+/// use bs_core::{Factor, PlanWorkspace};
+/// use bs_toeplitz::workloads;
+///
+/// let mut f = Factor::new(&workloads::kms(32, 0.6)).unwrap();
+/// let mut pw = PlanWorkspace::new();
+/// for rho in [0.5f64, 0.7, 0.8] {
+///     let t = workloads::kms(32, rho);
+///     f.refactor(&t, &mut pw).unwrap();
+///     let (b, x_true) = workloads::rhs_for_ones(&t);
+///     let x = f.solve(&b).unwrap();
+///     assert!((x[0] - x_true[0]).abs() < 1e-8);
+/// }
+/// ```
 #[derive(Debug)]
 #[must_use]
 pub struct Factor {
-    pub(crate) t: SymBlockToeplitz,
-    pub(crate) plan: FactorPlan,
-    pub(crate) factorization: Factorization,
-    pub(crate) refine: RefineOptions,
+    t: SymBlockToeplitz,
+    plan: FactorPlan,
+    factorization: Factorization,
+    refine: RefineOptions,
     /// Lazily-computed full-f64 factorization, used only when a
     /// [`Precision::Mixed`] solve's refinement stalls on the promoted
-    /// f32 factor. Reset by [`crate::ToeplitzSolver::refactor`].
-    pub(crate) fallback: OnceLock<Factorization>,
+    /// f32 factor. Reset by [`Factor::refactor`].
+    fallback: OnceLock<Factorization>,
     /// Per-call scratch arenas for concurrent tenants.
-    pub(crate) pool: WorkspacePool,
+    pool: WorkspacePool,
 }
 
 // The whole point of the split: a factor is shareable across threads.
@@ -92,19 +137,7 @@ impl Factor {
     /// Factor `t` with default options: SPD fast path, indefinite
     /// fallback with `δ = ε^{1/3}` perturbation.
     pub fn new(t: &SymBlockToeplitz) -> Result<Self> {
-        Self::with_options(t, &SolverOptions::default())
-    }
-
-    /// Factor `t` with explicit options (no cost-model auto-selection).
-    pub fn with_options(t: &SymBlockToeplitz, opts: &SolverOptions) -> Result<Self> {
-        let plan = FactorPlan::from_options(t, &opts.spd, &opts.indefinite)?;
-        Self::from_plan(t, plan, opts.refine.clone())
-    }
-
-    /// Factor `t` under a [`PlanRequest`]: fields left `None` are
-    /// chosen by the `bs-perfmodel` cost formulas.
-    pub fn with_plan_request(t: &SymBlockToeplitz, req: &PlanRequest) -> Result<Self> {
-        let plan = FactorPlan::new(t, req)?;
+        let plan = FactorPlan::from_options(t, &SchurOptions::default(), &IndefOptions::default())?;
         Self::from_plan(t, plan, RefineOptions::default())
     }
 
@@ -114,21 +147,8 @@ impl Factor {
         plan: FactorPlan,
         refine: RefineOptions,
     ) -> Result<Self> {
-        let mut workspace = PlanWorkspace::new();
-        Self::from_plan_with(t, plan, refine, &mut workspace)
-    }
-
-    /// Factor `t` with a pre-built plan drawing scratch from `ws` (the
-    /// warm path [`crate::ToeplitzSolver`] uses so repeated
-    /// factorizations reuse one arena).
-    pub(crate) fn from_plan_with(
-        t: &SymBlockToeplitz,
-        plan: FactorPlan,
-        refine: RefineOptions,
-        ws: &mut PlanWorkspace,
-    ) -> Result<Self> {
         let _span = bs_probe::span!("factor", n = t.order(), m = t.block_size());
-        let factorization = plan.execute(t, ws)?;
+        let factorization = plan.execute(t, &mut PlanWorkspace::new())?;
         Ok(Factor {
             t: t.clone(),
             plan,
@@ -137,6 +157,44 @@ impl Factor {
             fallback: OnceLock::new(),
             pool: WorkspacePool::new(),
         })
+    }
+
+    /// Re-factor a new system of the *same shape* (order and block
+    /// size) under the same plan, drawing scratch from `pw`. The
+    /// retired factorization's storage goes back into `pw` and the
+    /// stored matrix copy is overwritten in place, so from the second
+    /// refactor against one workspace on, the whole cycle performs
+    /// zero heap allocations (observable via
+    /// [`PlanWorkspace::allocations`]).
+    ///
+    /// On error the factor is left unchanged (still holding the
+    /// previous system's factorization).
+    pub fn refactor(&mut self, t: &SymBlockToeplitz, pw: &mut PlanWorkspace) -> Result<()> {
+        if t.order() != self.t.order() {
+            return Err(Error::DimensionMismatch {
+                context: "refactor matrix order",
+                expected: self.t.order(),
+                found: t.order(),
+            });
+        }
+        if t.block_size() != self.t.block_size() {
+            return Err(Error::DimensionMismatch {
+                context: "refactor block size",
+                expected: self.t.block_size(),
+                found: t.block_size(),
+            });
+        }
+        let _span = bs_probe::span!("refactor", n = t.order(), m = t.block_size());
+        let new_f = self.plan.execute(t, pw)?;
+        self.fallback.take();
+        pw.recycle(std::mem::replace(&mut self.factorization, new_f));
+        self.t.clone_data_from(t);
+        bs_probe::event!(
+            "refactor_done",
+            allocations = pw.allocations(),
+            high_water_elems = pw.high_water_elems(),
+        );
+        Ok(())
     }
 
     /// The factored operator (the solver's own copy of the generator).
@@ -164,24 +222,32 @@ impl Factor {
         &self.factorization
     }
 
-    /// The refinement options applied on perturbed factorizations.
-    pub fn refine_options(&self) -> &RefineOptions {
-        &self.refine
-    }
-
     /// The concurrent scratch pool backing [`scratch`](Self::scratch).
     pub fn scratch_pool(&self) -> &WorkspacePool {
         &self.pool
     }
 
     /// Check out a per-call scratch arena. The arena returns to the
-    /// factor's pool when the [`SolveScratch`] drops, so a serving loop
-    /// reaches an allocation-free steady state: stage the RHS in
-    /// pooled buffers, solve into pooled buffers, give them back.
-    pub fn scratch(&self) -> SolveScratch<'_> {
-        SolveScratch {
-            ws: self.pool.checkout(),
-        }
+    /// factor's pool when the guard drops, so a serving loop reaches an
+    /// allocation-free steady state: stage the RHS in pooled buffers,
+    /// solve into pooled buffers, give them back.
+    ///
+    /// ```
+    /// use bs_core::Factor;
+    /// use bs_toeplitz::workloads;
+    ///
+    /// let t = workloads::kms(16, 0.5);
+    /// let (b, _) = workloads::rhs_for_ones(&t);
+    /// let f = Factor::new(&t).unwrap();
+    /// let mut scratch = f.scratch();
+    /// let mut x = scratch.take_vec(16);
+    /// f.solve_col_into(&b, &mut x).unwrap();
+    /// scratch.give_vec(x);
+    /// drop(scratch);
+    /// assert_eq!(f.scratch_pool().outstanding(), 0);
+    /// ```
+    pub fn scratch(&self) -> PooledWorkspace<'_> {
+        self.pool.checkout()
     }
 
     /// `true` when the SPD fast path succeeded.
@@ -238,27 +304,17 @@ impl Factor {
     /// falls back to a lazily-computed full-f64 factorization, counted
     /// in `Counter::MixedStallFallbacks`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.t.order();
-        if b.len() != n {
-            return Err(Error::DimensionMismatch {
-                context: "right-hand side length",
-                expected: n,
-                found: b.len(),
-            });
-        }
-        let mut x = vec![0.0; n];
+        let mut x = vec![0.0; self.t.order()];
         self.solve_col_into(b, &mut x)?;
         Ok(x)
     }
 
     /// The unified per-column solve path every surface ([`solve`],
-    /// [`solve_many`], [`solve_batch`], and the serve layer's pooled
-    /// request loop) runs through. Writes the solution for the single
-    /// right-hand side `b` into `x` without allocating on the direct
-    /// (unperturbed) path.
+    /// [`solve_batch`], and the serve layer's pooled request loop) runs
+    /// through. Writes the solution for the single right-hand side `b`
+    /// into `x` without allocating on the direct (unperturbed) path.
     ///
     /// [`solve`]: Self::solve
-    /// [`solve_many`]: Self::solve_many
     /// [`solve_batch`]: Self::solve_batch
     pub fn solve_col_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         let n = self.t.order();
@@ -348,51 +404,53 @@ impl Factor {
         }
     }
 
-    /// Solve `T X = B` column by column, sequentially (`B` is `n × r`).
-    pub fn solve_many(&self, b: &Matrix) -> Result<Matrix> {
-        let mut x = Matrix::zeros(self.check_rhs(b)?, b.cols());
-        self.solve_cols_into_policy(b, &mut x, &ExecPolicy::sequential())?;
-        Ok(x)
-    }
-
     /// Solve `T X = B` with the right-hand-side columns fanned out
     /// across the plan's worker threads in a single pool dispatch:
     /// columns are chunked so pack/dispatch overhead is amortized over
     /// the whole batch instead of paid per column. Each column runs the
-    /// identical sequential per-column path as
-    /// [`solve_many`](Self::solve_many), so the result is bitwise
-    /// identical at any thread count. The lowest-indexed failing column
-    /// reports its error.
+    /// identical sequential per-column path as [`solve`](Self::solve),
+    /// so the result is bitwise identical at any thread count. The
+    /// lowest-indexed failing column reports its error.
     pub fn solve_batch(&self, b: &Matrix) -> Result<Matrix> {
-        let mut x = Matrix::zeros(self.check_rhs(b)?, b.cols());
+        let mut x = Matrix::zeros(b.rows(), b.cols());
         self.solve_cols_into(b, &mut x)?;
         Ok(x)
     }
 
     /// [`solve_batch`](Self::solve_batch) into a caller-provided (e.g.
     /// pooled) output matrix — the serve layer's allocation-free
-    /// multi-RHS surface.
-    pub fn solve_cols_into(&self, b: &Matrix, x: &mut Matrix) -> Result<()> {
-        self.solve_cols_into_policy(b, x, &self.plan.schur_options().exec)
-    }
-
-    /// The one multi-RHS driver behind every surface: chunk `B`'s
-    /// columns, fan the chunks across `exec`'s workers (a sequential
+    /// multi-RHS surface, and the one multi-RHS driver: chunk `B`'s
+    /// columns, fan the chunks across the plan's workers (a sequential
     /// policy degenerates to a plain column loop), and run each column
     /// through [`solve_col_into`](Self::solve_col_into).
-    fn solve_cols_into_policy(&self, b: &Matrix, x: &mut Matrix, exec: &ExecPolicy) -> Result<()> {
-        let n = self.check_rhs(b)?;
+    pub fn solve_cols_into(&self, b: &Matrix, x: &mut Matrix) -> Result<()> {
+        let n = self.t.order();
+        if b.rows() != n {
+            return Err(Error::DimensionMismatch {
+                context: "right-hand-side row count",
+                expected: n,
+                found: b.rows(),
+            });
+        }
         let ncols = b.cols();
-        if x.rows() != n || x.cols() != ncols {
+        if x.rows() != n {
+            return Err(Error::DimensionMismatch {
+                context: "solution row count",
+                expected: n,
+                found: x.rows(),
+            });
+        }
+        if x.cols() != ncols {
             return Err(Error::DimensionMismatch {
                 context: "solution column count",
                 expected: ncols,
-                found: if x.rows() != n { x.rows() } else { x.cols() },
+                found: x.cols(),
             });
         }
         if n == 0 || ncols == 0 {
             return Ok(());
         }
+        let exec = &self.plan.schur_options().exec;
         let threads = exec.threads.clamp(1, ncols);
         let chunk_cols = ncols.div_ceil(threads);
         let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
@@ -422,18 +480,6 @@ impl Factor {
         Ok(())
     }
 
-    fn check_rhs(&self, b: &Matrix) -> Result<usize> {
-        let n = self.t.order();
-        if b.rows() != n {
-            return Err(Error::DimensionMismatch {
-                context: "right-hand-side row count",
-                expected: n,
-                found: b.rows(),
-            });
-        }
-        Ok(n)
-    }
-
     /// Build the Gohberg–Semencul representation of `T⁻¹` (scalar
     /// Toeplitz only, `m = 1`): one extra solve for `T u = e₀`, after
     /// which every further solve costs `O(n log n)` through
@@ -451,50 +497,23 @@ impl Factor {
     }
 }
 
-/// Per-call mutable scratch for solving against a shared [`Factor`]:
-/// an arena checked out from the factor's [`WorkspacePool`], returned
-/// on drop. Derefs to [`Workspace`], so the pooled `take_vec` /
-/// `take_matrix` surfaces are available directly:
-///
-/// ```
-/// use bs_core::Factor;
-/// use bs_toeplitz::workloads;
-///
-/// let t = workloads::kms(16, 0.5);
-/// let (b, _) = workloads::rhs_for_ones(&t);
-/// let f = Factor::new(&t).unwrap();
-/// let mut scratch = f.scratch();
-/// let mut x = scratch.take_vec(16);
-/// f.solve_col_into(&b, &mut x).unwrap();
-/// scratch.give_vec(x);
-/// drop(scratch);
-/// assert_eq!(f.scratch_pool().outstanding(), 0);
-/// ```
-#[derive(Debug)]
-#[must_use]
-pub struct SolveScratch<'f> {
-    ws: PooledWorkspace<'f, f64>,
-}
-
-impl std::ops::Deref for SolveScratch<'_> {
-    type Target = Workspace;
-
-    fn deref(&self) -> &Workspace {
-        &self.ws
-    }
-}
-
-impl std::ops::DerefMut for SolveScratch<'_> {
-    fn deref_mut(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bs_matrix::ExecPolicy;
     use bs_toeplitz::workloads;
     use std::sync::Arc;
+
+    /// A factor whose plan runs every multi-RHS solve as a plain
+    /// sequential column loop (`threads = 1`).
+    fn sequential(t: &SymBlockToeplitz) -> Factor {
+        let spd = SchurOptions {
+            exec: ExecPolicy::sequential(),
+            ..Default::default()
+        };
+        let plan = FactorPlan::from_options(t, &spd, &IndefOptions::default()).unwrap();
+        Factor::from_plan(t, plan, RefineOptions::default()).unwrap()
+    }
 
     #[test]
     fn factor_is_shareable_and_matches_sequential() {
@@ -540,12 +559,12 @@ mod tests {
             let n = t.order();
             let f = Factor::new(&t).unwrap();
             let b = Matrix::from_fn(n, 3, |i, j| ((i * 7 + j * 13) % 11) as f64 - 5.0);
-            let many = f.solve_many(&b).unwrap();
+            let looped = sequential(&t).solve_batch(&b).unwrap();
             let batch = f.solve_batch(&b).unwrap();
-            assert_eq!(many.max_abs_diff(&batch), 0.0);
+            assert_eq!(looped.max_abs_diff(&batch), 0.0);
             for j in 0..3 {
                 let xj = f.solve(b.col(j)).unwrap();
-                assert_eq!(xj.as_slice(), many.col(j));
+                assert_eq!(xj.as_slice(), looped.col(j));
             }
         }
     }
@@ -558,7 +577,250 @@ mod tests {
         let mut x = Matrix::zeros(8, 3);
         assert!(matches!(
             f.solve_cols_into(&b, &mut x),
-            Err(Error::DimensionMismatch { .. })
+            Err(Error::DimensionMismatch {
+                context: "solution column count",
+                expected: 2,
+                found: 3,
+            })
         ));
+        let mut x = Matrix::zeros(5, 2);
+        assert!(matches!(
+            f.solve_cols_into(&b, &mut x),
+            Err(Error::DimensionMismatch {
+                context: "solution row count",
+                expected: 8,
+                found: 5,
+            })
+        ));
+    }
+
+    #[test]
+    fn spd_path_selected_for_spd_input() {
+        let t = workloads::random_spd_block(2, 8, 1);
+        let f = Factor::new(&t).unwrap();
+        assert!(matches!(f.factorization(), Factorization::Spd(_)));
+        assert!(f.is_positive_definite());
+        assert_eq!(f.inertia(), (16, 0));
+    }
+
+    #[test]
+    fn indefinite_fallback_and_inertia() {
+        let t = workloads::random_indefinite_scalar(14, 3);
+        let f = Factor::new(&t).unwrap();
+        assert!(matches!(f.factorization(), Factorization::Indefinite(_)));
+        assert!(!f.is_positive_definite());
+        let (pos, neg) = f.inertia();
+        assert_eq!(pos + neg, 14);
+        assert!(neg > 0);
+    }
+
+    #[test]
+    fn solve_spd_and_singular_minor_through_one_api() {
+        for t in [
+            workloads::random_spd_scalar(20, 4),
+            workloads::paper_singular_minor_example(),
+            workloads::random_indefinite_scalar(16, 9),
+        ] {
+            let (b, x_true) = workloads::rhs_for_ones(&t);
+            let f = Factor::new(&t).unwrap();
+            let x = f.solve(&b).unwrap();
+            let err = x
+                .iter()
+                .zip(&x_true)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(err < 1e-8, "n={}: err {err:e}", t.order());
+        }
+    }
+
+    #[test]
+    fn multiple_right_hand_sides() {
+        let t = workloads::random_spd_block(2, 6, 7);
+        let n = t.order();
+        let x_true = Matrix::from_fn(n, 3, |i, j| (i + j) as f64 - 5.0);
+        let mut b = Matrix::zeros(n, 3);
+        for j in 0..3 {
+            let bj = t.matvec(x_true.col(j));
+            b.col_mut(j).copy_from_slice(&bj);
+        }
+        let f = Factor::new(&t).unwrap();
+        let x = f.solve_batch(&b).unwrap();
+        assert!(x.max_abs_diff(&x_true) < 1e-8);
+    }
+
+    #[test]
+    fn wrong_shapes_are_typed_errors() {
+        let t = workloads::random_spd_scalar(8, 1);
+        let mut f = Factor::new(&t).unwrap();
+        // Short right-hand side.
+        assert!(matches!(
+            f.solve(&[1.0; 5]),
+            Err(Error::DimensionMismatch {
+                expected: 8,
+                found: 5,
+                ..
+            })
+        ));
+        // Wrong solve_batch row count.
+        let b = Matrix::zeros(5, 2);
+        assert!(matches!(
+            f.solve_batch(&b),
+            Err(Error::DimensionMismatch {
+                expected: 8,
+                found: 5,
+                ..
+            })
+        ));
+        // Refactor with a different order, then a different block size.
+        let mut pw = PlanWorkspace::new();
+        let t2 = workloads::random_spd_scalar(10, 1);
+        assert!(matches!(
+            f.refactor(&t2, &mut pw),
+            Err(Error::DimensionMismatch {
+                context: "refactor matrix order",
+                expected: 8,
+                found: 10,
+            })
+        ));
+        let t3 = workloads::random_spd_block(2, 4, 1);
+        assert!(matches!(
+            f.refactor(&t3, &mut pw),
+            Err(Error::DimensionMismatch {
+                context: "refactor block size",
+                expected: 1,
+                found: 2,
+            })
+        ));
+        // The factor still answers for the original system.
+        let (b, x_true) = workloads::rhs_for_ones(&t);
+        let x = f.solve(&b).unwrap();
+        assert!((x[0] - x_true[0]).abs() < 1e-9);
+    }
+
+    #[test]
+    fn failed_refactor_leaves_the_factor_unchanged() {
+        // Same shape, but not factorable: the SPD attempt fails and the
+        // indefinite fallback may not perturb the singular minor.
+        let t = workloads::kms(6, 0.5);
+        let plan = FactorPlan::from_options(
+            &t,
+            &SchurOptions::default(),
+            &IndefOptions {
+                allow_perturbation: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut f = Factor::from_plan(&t, plan, RefineOptions::default()).unwrap();
+        let before = match f.factorization() {
+            Factorization::Spd(s) => s.r.clone(),
+            other => panic!("expected SPD, got {other:?}"),
+        };
+        let (b, _) = workloads::rhs_for_ones(&t);
+        let x0 = f.solve(&b).unwrap();
+        let mut pw = PlanWorkspace::new();
+        let singular = workloads::paper_singular_minor_example();
+        assert!(matches!(
+            f.refactor(&singular, &mut pw),
+            Err(Error::SingularMinor { .. })
+        ));
+        match f.factorization() {
+            Factorization::Spd(s) => assert_eq!(s.r.max_abs_diff(&before), 0.0),
+            other => panic!("expected the old SPD factor, got {other:?}"),
+        }
+        assert_eq!(f.operator().to_dense().max_abs_diff(&t.to_dense()), 0.0);
+        assert_eq!(f.solve(&b).unwrap(), x0);
+    }
+
+    #[test]
+    fn refactor_matches_fresh_factorization() {
+        // A warm refactor must produce exactly the factor a fresh
+        // factorization computes (pooled buffers are zero-filled on
+        // checkout, so the arithmetic paths are identical).
+        let t1 = workloads::random_spd_block(2, 6, 11);
+        let t2 = workloads::random_spd_block(2, 6, 12);
+        let mut pw = PlanWorkspace::new();
+        let mut warm = Factor::new(&t1).unwrap();
+        warm.refactor(&t2, &mut pw).unwrap();
+        let fresh = Factor::new(&t2).unwrap();
+        match (warm.factorization(), fresh.factorization()) {
+            (Factorization::Spd(a), Factorization::Spd(b)) => {
+                assert_eq!(a.r.max_abs_diff(&b.r), 0.0, "factors must be bitwise equal");
+            }
+            other => panic!("expected SPD factorizations, got {other:?}"),
+        }
+        // And through the indefinite path too.
+        let i1 = workloads::random_indefinite_scalar(12, 5);
+        let i2 = workloads::random_indefinite_scalar(12, 6);
+        let mut pw = PlanWorkspace::new();
+        let mut warm = Factor::new(&i1).unwrap();
+        warm.refactor(&i2, &mut pw).unwrap();
+        let fresh = Factor::new(&i2).unwrap();
+        match (warm.factorization(), fresh.factorization()) {
+            (Factorization::Indefinite(a), Factorization::Indefinite(b)) => {
+                assert_eq!(a.r.max_abs_diff(&b.r), 0.0);
+                assert_eq!(a.d, b.d);
+            }
+            other => panic!("expected indefinite factorizations, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn warm_refactor_performs_zero_workspace_allocations() {
+        let systems: Vec<_> = (0..4)
+            .map(|s| workloads::random_spd_block(2, 8, 40 + s))
+            .collect();
+        let mut f = Factor::new(&systems[0]).unwrap();
+        let mut pw = PlanWorkspace::new();
+        // The first refactor warms the workspace (the retired factor's
+        // storage only goes back into it as it retires).
+        f.refactor(&systems[1], &mut pw).unwrap();
+        pw.reset_stats();
+        for t in &systems[2..] {
+            f.refactor(t, &mut pw).unwrap();
+            let (b, _) = workloads::rhs_for_ones(t);
+            f.solve(&b).unwrap();
+        }
+        assert_eq!(
+            pw.allocations(),
+            0,
+            "warm refactor+solve cycles must not allocate from the pool"
+        );
+        assert!(pw.high_water_elems() > 0);
+    }
+
+    #[test]
+    fn gohberg_semencul_representation_solves() {
+        let t = workloads::random_spd_scalar(48, 3);
+        let f = Factor::new(&t).unwrap();
+        let inv = f.inverse_representation().expect("GS rep");
+        let (b, x_true) = workloads::rhs_for_ones(&t);
+        let x = inv.apply(&b);
+        for i in 0..48 {
+            assert!((x[i] - x_true[i]).abs() < 1e-8, "i={i}");
+        }
+        // Block matrices have no scalar GS representation.
+        let tb = workloads::random_spd_block(2, 8, 4);
+        assert!(Factor::new(&tb).unwrap().inverse_representation().is_none());
+    }
+
+    #[test]
+    fn determinant_matches_dense_lu() {
+        for t in [
+            workloads::random_spd_scalar(12, 2),
+            workloads::random_indefinite_scalar(12, 5),
+        ] {
+            let f = Factor::new(&t).unwrap();
+            let (sign, ln) = f.det_sign_ln();
+            let lu = bs_matrix::lu::lu_factor(&t.to_dense()).unwrap();
+            let det = lu.det();
+            assert_eq!(sign, det.signum(), "sign mismatch");
+            assert!(
+                (ln - det.abs().ln()).abs() < 1e-8,
+                "ln|det| {} vs {}",
+                ln,
+                det.abs().ln()
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! - [`panel`] — phase 1 of each Schur step: factoring the `2m × m`
 //!   pivot panel into a block reflector (§6.2).
 //! - [`schur`] — the SPD driver (§5-§6): explicit-shift and in-place
-//!   variants, optional rayon parallel generator update, optional
+//!   variants, optional pooled parallel generator update, optional
 //!   algorithmic block size `m_s ≠ m` (§6.5).
 //! - [`indefinite`] — the extension to symmetric indefinite Toeplitz
 //!   matrices with row exchanges and the `δ ≈ ε^{1/3}` perturbation for
@@ -27,11 +27,10 @@
 //! - [`refine`] — iterative refinement driver and its convergence
 //!   diagnostics (§8.1).
 //! - [`solve`] — triangular solves with the `Rᵀ D R` factors.
-//! - [`factor`] — the immutable, `Send + Sync` [`Factor`] every solve
-//!   surface runs through, sharable behind an `Arc` by concurrent
-//!   tenants, with per-call [`SolveScratch`] checkout.
-//! - [`solver`] — the high-level [`ToeplitzSolver`] façade with
-//!   automatic SPD/indefinite dispatch and warm refactoring.
+//! - [`factor`] — [`Factor`], the one factor-and-solve handle:
+//!   automatic SPD/indefinite dispatch, `&self` solves sharable behind
+//!   an `Arc` by concurrent tenants, and warm re-factorization through
+//!   a caller-owned [`PlanWorkspace`].
 
 pub mod contracts;
 pub mod eliminate;
@@ -43,23 +42,15 @@ pub mod refine;
 pub mod reflector;
 pub mod rep;
 pub mod schur;
-pub mod solver;
-
-/// Former home of the triangular-solve helpers, kept as a thin alias so
-/// `bs_core::solve::solve_rtdr` callers keep compiling; the routines
-/// live in [`solver`] now.
-pub mod solve {
-    pub use crate::solver::{reconstruct_rtdr, solve_rtdr};
-}
+pub mod solve;
 
 pub use eliminate::{EngineScratch, PivotPolicy};
-pub use factor::{Factor, SolveScratch};
+pub use factor::{Factor, Factorization};
 pub use indefinite::{factor_indefinite, IndefFactor, IndefOptions, Perturbation};
 pub use plan::{FactorPlan, PlanRequest, PlanWorkspace, Precision};
 pub use refine::{solve_refined, RefineOptions, RefineResult};
 pub use rep::RepKind;
 pub use schur::{factor_spd, SchurOptions, SpdFactor};
-pub use solver::{Factorization, SolverOptions, ToeplitzSolver};
 
 /// Errors produced by the Schur drivers.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,10 +22,10 @@
 //! checkout.
 
 use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled, EngineScratch};
+use crate::factor::Factorization;
 use crate::indefinite::{factor_indefinite_with, IndefFactor, IndefOptions};
 use crate::rep::RepKind;
 use crate::schur::{SchurOptions, SpdFactor};
-use crate::solver::Factorization;
 use crate::{Error, Result};
 use bs_matrix::{kernel, par, ExecPolicy, Workspace};
 use bs_perfmodel::model::{self, Rep};
@@ -36,7 +36,7 @@ use std::sync::Mutex;
 /// Arithmetic precision of the factorization stage.
 ///
 /// The solve-side contract differs per variant (see
-/// [`crate::ToeplitzSolver::solve`]): `F64` is the bitwise-pinned
+/// [`crate::Factor::solve`]): `F64` is the bitwise-pinned
 /// reference path, `F32` trades accuracy for the doubled SIMD width of
 /// the f32 microkernels, and `Mixed` recovers f64-grade residuals from
 /// the f32 factor through the §8.1 refinement loop — the paper's
@@ -143,10 +143,11 @@ fn env_precision() -> Option<Precision> {
         .and_then(|v| Precision::parse(&v))
 }
 
-/// Caller-owned execution state for [`FactorPlan::execute`]: the pooled
-/// scratch arena plus the engine's reusable per-step buffers. Hold one
-/// per solver (or per worker thread) and reuse it across executions —
-/// that is what makes the steady state allocation-free.
+/// Caller-owned execution state for [`FactorPlan::execute`] and
+/// [`crate::Factor::refactor`]: the pooled scratch arena plus the
+/// engine's reusable per-step buffers. Hold one per refactor loop (or
+/// per worker thread) and reuse it across executions — that is what
+/// makes the steady state allocation-free.
 #[derive(Debug, Default)]
 #[must_use]
 pub struct PlanWorkspace {
@@ -160,7 +161,7 @@ pub struct PlanWorkspace {
     pub(crate) scratch32: EngineScratch<f32>,
     /// A retired factor matrix from a previous execution, kept whole so
     /// the next execution can reuse it *without* the pool's zero-fill
-    /// (see [`PlanWorkspace::donate`]).
+    /// (see [`PlanWorkspace::recycle`]).
     pub(crate) retired: Option<bs_matrix::Matrix>,
 }
 
@@ -194,43 +195,41 @@ impl PlanWorkspace {
         self.ws.high_water_elems() + self.ws32.high_water_elems()
     }
 
-    /// Total capacity (elements) of the idle pools.
-    pub fn pooled_elems(&self) -> usize {
-        self.ws.pooled_elems() + self.ws32.pooled_elems()
-    }
-
     /// Zero the allocation / high-water statistics, keeping the pools.
     pub fn reset_stats(&mut self) {
         self.ws.reset_stats();
         self.ws32.reset_stats();
     }
 
-    /// Donate a retired factor matrix so the next execution can reuse
-    /// its storage. The buffer is kept whole and handed back *without*
-    /// the pool's defensive zero-fill: every entry of an emitted factor
-    /// is deterministically overwritten (the staircase emission covers
-    /// the whole upper triangle and the diagonal normalization zeroes
-    /// the strict lower triangle), so prior contents never reach the
-    /// output. This skips an O(n²) memset per warm refactorization —
-    /// the cost a per-call `vec![0.0; n*n]` baseline always pays.
-    pub fn donate(&mut self, m: bs_matrix::Matrix) {
-        if let Some(old) = self.retired.replace(m) {
+    /// Take back a retired factorization's storage so the next
+    /// execution reuses it instead of allocating. The triangular factor
+    /// is kept whole and handed back *without* the pool's defensive
+    /// zero-fill: every entry of an emitted factor is deterministically
+    /// overwritten (the staircase emission covers the whole upper
+    /// triangle and the diagonal normalization zeroes the strict lower
+    /// triangle), so prior contents never reach the output. This skips
+    /// an O(n²) memset per warm refactorization — the cost a per-call
+    /// `vec![0.0; n*n]` baseline always pays. An indefinite factor's
+    /// signature vector and perturbation log go back to the engine
+    /// scratch.
+    pub fn recycle(&mut self, f: Factorization) {
+        let r = match f {
+            Factorization::Spd(f) => f.r,
+            Factorization::Indefinite(f) => {
+                self.scratch.recycle_indefinite(f.d, f.perturbations);
+                f.r
+            }
+        };
+        if let Some(old) = self.retired.replace(r) {
             self.ws.give_matrix(old);
         }
-    }
-
-    /// Donate a retired indefinite factor's signature vector and
-    /// perturbation log back to the engine scratch pools, so the next
-    /// indefinite execution reuses their storage instead of allocating.
-    pub fn donate_indefinite(&mut self, d: Vec<i8>, perturbations: Vec<crate::Perturbation>) {
-        self.scratch.donate_indefinite(d, perturbations);
     }
 }
 
 /// An executable factorization plan for one system shape. Build with
 /// [`FactorPlan::new`] (cost-model auto-selection for unset fields) or
-/// [`FactorPlan::from_options`] (everything pinned, the compatibility
-/// path of [`crate::ToeplitzSolver::with_options`]).
+/// [`FactorPlan::from_options`] (everything pinned, the path
+/// [`crate::Factor::new`] takes).
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct FactorPlan {
@@ -500,6 +499,22 @@ impl FactorPlan {
     /// is singular at f32 resolution) falls back to the full f64
     /// factorization, counted in `Counter::MixedStallFallbacks`.
     pub fn execute(&self, t: &SymBlockToeplitz, pw: &mut PlanWorkspace) -> Result<Factorization> {
+        self.check_shape(t)?;
+        match self.precision {
+            Precision::F64 => self.execute_f64(t, pw),
+            Precision::F32 => self.execute_demoted(t, pw),
+            Precision::Mixed => match self.execute_demoted(t, pw) {
+                Ok(f) => Ok(f),
+                Err(_) => {
+                    bs_probe::metrics::incr(bs_probe::metrics::Counter::MixedStallFallbacks);
+                    bs_probe::event!("mixed_factor_fallback", n = self.n, m = self.m);
+                    self.execute_f64(t, pw)
+                }
+            },
+        }
+    }
+
+    fn check_shape(&self, t: &SymBlockToeplitz) -> Result<()> {
         if t.order() != self.n {
             return Err(Error::DimensionMismatch {
                 context: "planned matrix order",
@@ -514,18 +529,7 @@ impl FactorPlan {
                 found: t.block_size(),
             });
         }
-        match self.precision {
-            Precision::F64 => self.execute_f64(t, pw),
-            Precision::F32 => self.execute_demoted(t, pw),
-            Precision::Mixed => match self.execute_demoted(t, pw) {
-                Ok(f) => Ok(f),
-                Err(_) => {
-                    bs_probe::metrics::incr(bs_probe::metrics::Counter::MixedStallFallbacks);
-                    bs_probe::event!("mixed_factor_fallback", n = self.n, m = self.m);
-                    self.execute_f64(t, pw)
-                }
-            },
-        }
+        Ok(())
     }
 
     /// The reference f64 execution path — shape checks already done.
@@ -650,13 +654,7 @@ impl FactorPlan {
     /// with its error.
     pub fn execute_batch(&self, systems: &[SymBlockToeplitz]) -> Result<Vec<Factorization>> {
         for t in systems {
-            if t.order() != self.n || t.block_size() != self.m {
-                return Err(Error::DimensionMismatch {
-                    context: "batched matrix shape",
-                    expected: self.n,
-                    found: t.order(),
-                });
-            }
+            self.check_shape(t)?;
         }
         let k = systems.len();
         if k == 0 {
@@ -929,7 +927,7 @@ mod tests {
                         "round {round}: plan/execute must be bitwise-identical"
                     );
                     assert_eq!(f.comm_words_per_step, reference.comm_words_per_step);
-                    pw.donate(f.r);
+                    pw.recycle(Factorization::Spd(f));
                 }
                 other => panic!("expected SPD, got {other:?}"),
             }

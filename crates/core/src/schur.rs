@@ -7,7 +7,7 @@
 //! 1. factor the `2m × m` pivot panel into a block hyperbolic
 //!    Householder reflector ([`crate::panel::factor_panel`]);
 //! 2. apply the block reflector to the trailing generator columns
-//!    (level-3, optionally rayon-parallel);
+//!    (level-3, optionally fanned out on the persistent worker pool);
 //! 3. shift the upper block row one block to the right — either
 //!    *explicitly* (a copy) or *in place* by pairing upper block column
 //!    `j − s` with lower block column `j` (§6.4; the variant used on
@@ -19,7 +19,7 @@
 
 use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled, EngineScratch};
 use crate::rep::RepKind;
-use crate::solve;
+use crate::solve::solve_rtdr;
 use crate::Result;
 use bs_matrix::{ExecPolicy, Matrix, Scalar, Workspace};
 use bs_toeplitz::SymBlockToeplitz;
@@ -90,7 +90,7 @@ impl<T: Scalar> SpdFactor<T> {
 
     /// Solve `T x = b` via `Rᵀ(Rx) = b`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
-        solve::solve_rtdr(&self.r, None, b)
+        solve_rtdr(&self.r, None, b)
     }
 
     /// Reconstruct `RᵀR` densely (test / verification, O(n³)).
@@ -124,11 +124,22 @@ impl<T: Scalar> SpdFactor<T> {
 /// assert!((x[0] - x_true[0]).abs() < 1e-9);
 /// ```
 pub fn factor_spd<T: Scalar>(t: &SymBlockToeplitz<T>, opts: &SchurOptions) -> Result<SpdFactor<T>> {
+    let t_ref = retiled(t, opts.block_size)?;
     let n = t.block_size() * t.num_blocks();
     let mut r = Matrix::zeros(n, n);
-    let (m, p, comm_words_per_step) = factor_spd_streaming(t, opts, |s, mm, _n, row| {
+    // Fresh engine state: this entry point allocates per call;
+    // long-lived callers that want warm (allocation-free) repeats hold
+    // a `FactorPlan` instead.
+    let mut ws = Workspace::new();
+    let mut scratch = EngineScratch::default();
+    let mut sink = |s: usize, mm: usize, _n: usize, row: bs_matrix::MatRef<'_, T>| {
         r.sub_mut(s * mm, s * mm, mm, row.cols()).copy_from(row);
-    })?;
+    };
+    let out = eliminate_spd(&t_ref, opts, &mut ws, &mut scratch, &mut sink);
+    // paranoid: the workspace is ours and received no donations, so it
+    // must be fully quiescent whatever the elimination returned.
+    ws.contract_quiescent("factor_spd");
+    let (m, p, comm_words_per_step) = out?;
     normalize_diagonal(&mut r);
     crate::contracts::spd_diagonal(&r, "factor_spd");
     Ok(SpdFactor {
@@ -137,32 +148,6 @@ pub fn factor_spd<T: Scalar>(t: &SymBlockToeplitz<T>, opts: &SchurOptions) -> Re
         p,
         comm_words_per_step,
     })
-}
-
-/// Streaming variant of [`factor_spd`]: instead of materializing the
-/// `n × n` factor (which costs `n²` memory — 128 MiB at n = 4096), each
-/// emitted block row is handed to `sink(s, m, n, row)` where `row` is
-/// the `m × (p−s)·m` block row starting at block column `s`. Rows are
-/// *not* sign-normalized (callers needing `RᵀR` semantics are
-/// unaffected: row signs cancel).
-///
-/// Returns `(m_s, p, comm_words_per_step)`.
-pub fn factor_spd_streaming<T: Scalar>(
-    t: &SymBlockToeplitz<T>,
-    opts: &SchurOptions,
-    mut sink: impl FnMut(usize, usize, usize, bs_matrix::MatRef<'_, T>),
-) -> Result<(usize, usize, usize)> {
-    let t_ref = retiled(t, opts.block_size)?;
-    // Fresh engine state: this compatibility entry point reproduces the
-    // historical allocate-per-call behavior; long-lived callers that
-    // want warm (allocation-free) repeats hold a `FactorPlan` instead.
-    let mut ws = Workspace::new();
-    let mut scratch = EngineScratch::default();
-    let out = eliminate_spd(&t_ref, opts, &mut ws, &mut scratch, &mut sink);
-    // paranoid: the workspace is ours and received no donations, so it
-    // must be fully quiescent whatever the elimination returned.
-    ws.contract_quiescent("factor_spd_streaming");
-    out
 }
 
 #[cfg(test)]
@@ -375,65 +360,5 @@ mod two_level_tests {
         assert_eq!(reps.len(), 2); // chunks of 4 and 2
         assert_eq!(reps[0].len(), 4);
         assert_eq!(reps[1].len(), 2);
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use bs_toeplitz::workloads;
-
-    #[test]
-    fn streaming_emits_same_rows_as_materialized() {
-        let t = workloads::random_spd_block(2, 8, 3);
-        let f = factor_spd(&t, &SchurOptions::default()).unwrap();
-        let mut rows_seen = 0usize;
-        let (m, p, _) = factor_spd_streaming(&t, &SchurOptions::default(), |s, m, _n, row| {
-            rows_seen += 1;
-            // Compare against the materialized factor up to row signs.
-            for i in 0..m {
-                let gi = s * m + i;
-                // The materialized factor normalizes row signs; compare
-                // magnitudes and relative signs within a row.
-                let sign = if row.get(i, i) * f.r[(gi, gi)] < 0.0 {
-                    -1.0
-                } else {
-                    1.0
-                };
-                for j in 0..row.cols() {
-                    let want = f.r[(gi, s * m + j)];
-                    let got = sign * row.get(i, j);
-                    assert!(
-                        (got - want).abs() < 1e-11,
-                        "row {gi}, col {}: {} vs {}",
-                        s * m + j,
-                        got,
-                        want
-                    );
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!((m, p), (2, 8));
-        assert_eq!(rows_seen, 8);
-    }
-
-    #[test]
-    fn streaming_needs_no_quadratic_memory() {
-        // Just exercise a larger case and count bytes handled per call.
-        let t = workloads::random_spd_scalar(256, 2);
-        let mut max_row_elems = 0usize;
-        factor_spd_streaming(
-            &t,
-            &SchurOptions {
-                block_size: Some(8),
-                ..Default::default()
-            },
-            |_s, m, _n, row| {
-                max_row_elems = max_row_elems.max(m * row.cols());
-            },
-        )
-        .unwrap();
-        assert!(max_row_elems <= 8 * 256);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The paper's distributed experiments ran on a Cray T3D with the shmem
 //! library (§7.1.4). This crate is the stand-in: ranks are OS threads
-//! connected by crossbeam channels, exposing the primitives the
+//! connected by `std::sync::mpsc` channels, exposing the primitives the
 //! distributed Schur algorithm needs — `send`/`recv`, `broadcast`,
 //! `barrier` — with the *data movement executed for real* (results are
 //! bit-checked against sequential runs) while *time* is tracked either

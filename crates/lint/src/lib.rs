@@ -154,7 +154,7 @@ pub fn collect_waivers(files: &[(String, String)]) -> (Vec<Waiver>, Vec<Diagnost
 ///
 /// Two passes: the first builds the workspace [`Registry`] (so a type
 /// declared in `plan.rs` satisfies `must-use-results` for a
-/// constructor in `solver.rs`, and a SAFETY claim in `blas3.rs` can
+/// constructor in `factor.rs`, and a SAFETY claim in `blas3.rs` can
 /// reference the dispatch gate in `kernel/mod.rs`); the second runs
 /// the lint catalog per file.
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {

@@ -1,6 +1,7 @@
-//! Level-3 kernels: general matrix multiply (packed, cache-blocked, with
-//! an optional scoped-thread parallel driver), symmetric rank-k update,
-//! and triangular solves with multiple right-hand sides.
+//! Level-3 kernels: general matrix multiply (packed, cache-blocked),
+//! symmetric rank-k update, and triangular solves with multiple
+//! right-hand sides. Parallel callers split their own work into column
+//! strips on [`crate::par`] and run these kernels per strip.
 //!
 //! The paper's whole premise is that block algorithms are "rich in
 //! level-3 BLAS operations" (§1) and that BLAS3 on larger operands runs
@@ -18,13 +19,11 @@ use crate::blas1;
 use crate::blas2;
 use crate::flops;
 use crate::kernel::{self, pack, tuning, Kernel, MR, NR};
-use crate::par::{self, ExecPolicy};
 use crate::scalar::Scalar;
 use crate::view::{MatMut, MatRef};
 use crate::workspace::Workspace;
 use crate::{Error, Result};
 use bs_probe::metrics::{self, Counter};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Transposition flag for `gemm` operands.
@@ -77,8 +76,8 @@ fn op_get<T: Scalar>(a: MatRef<'_, T>, t: Trans, i: usize, j: usize) -> T {
 /// with any extent below a register-tile's worth, packing traffic
 /// dominates and the direct column-axpy loop is faster.
 ///
-/// Shared by the sequential dispatch, the parallel driver, and the
-/// calibration harness so all three agree on which kernel a shape runs.
+/// Shared by the dispatch and the calibration harness so both agree on
+/// which kernel a shape runs.
 #[inline]
 pub(crate) fn uses_packed(m: usize, n: usize, k: usize) -> bool {
     !(m < 16 || n < 16 || k < 16 || m * n * k <= 16 * 16 * 16)
@@ -149,106 +148,6 @@ fn gemm_dispatch<T: Scalar>(
         return;
     }
     gemm_blocked(alpha, a, ta, b, tb, c, ws, kernel::active::<T>());
-}
-
-/// Parallel `gemm` driver under an [`ExecPolicy`]: splits `C` (and
-/// `op(B)`) into deterministic column strips and runs the blocked
-/// kernel on each strip via the persistent pool. Falls back to the
-/// sequential path for sequential policies, small problems, or when
-/// already inside a pool dispatch.
-///
-/// Determinism: the packed/naive kernel choice is made from the *full*
-/// problem dimensions (the same predicate [`gemm`] uses), the SIMD
-/// microkernel is resolved once here and handed to every strip, and the
-/// packed kernel computes each column of `C` independently of how the
-/// columns are grouped — so the stripped parallel result is bitwise
-/// identical to the monolithic sequential one at every thread count.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature plus the policy
-pub fn par_gemm_policy<T: Scalar>(
-    policy: &ExecPolicy,
-    alpha: T,
-    a: MatRef<'_, T>,
-    ta: Trans,
-    b: MatRef<'_, T>,
-    tb: Trans,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    let m = c.rows();
-    let n = c.cols();
-    let k = op_cols(a, ta);
-    let work = m as u128 * n as u128 * k as u128;
-    // Same predicate as gemm_dispatch: a problem the sequential path
-    // would hand to the naive kernel is never worth stripping (and
-    // stripping it would change the kernel choice, breaking bitwise
-    // equality with the sequential run).
-    let blocked = uses_packed(m, n, k);
-    if !blocked
-        || policy.threads <= 1
-        || par::in_dispatch()
-        || work < policy.min_work as u128
-        || n < 2 * NR
-    {
-        gemm(alpha, a, ta, b, tb, beta, c);
-        return;
-    }
-    assert_eq!(op_rows(a, ta), m);
-    assert_eq!(op_rows(b, tb), k);
-    assert_eq!(op_cols(b, tb), n);
-
-    // Resolve the microkernel once so a concurrent override flip can
-    // never mix kernels across this multiply's strips.
-    let kern = kernel::active::<T>();
-    let width = policy.partition.strip_width(n);
-    // Decompose C into disjoint column strips; each strip multiplies the
-    // matching columns of op(B). Strip boundaries depend only on (n,
-    // partition) — never on the thread count.
-    // bs-lint: allow(no-alloc-hot) -- O(strips) strip descriptors at dispatch; the descriptors borrow C, so they cannot live in a pool
-    let mut strips: Vec<(usize, MatMut<'_, T>)> = Vec::with_capacity(n.div_ceil(width));
-    let mut rest = c;
-    let mut start = 0;
-    while start < n {
-        let w = width.min(n - start);
-        let (head, tail) = rest.split_at_col(w);
-        strips.push((start, head));
-        rest = tail;
-        start += w;
-    }
-    // Flop accounting: each worker charges its own strip on its own
-    // thread-local probe slot; read the aggregate with `flops::total`.
-    par::for_each_policy(policy, strips, |(j0, cj)| {
-        let w = cj.cols();
-        let bj = match tb {
-            Trans::No => b.sub(0, j0, k, w),
-            Trans::Yes => b.sub(j0, 0, w, k),
-        };
-        let mut cj = cj;
-        scale_c(beta, cj.rb_mut());
-        if alpha != T::ZERO && m != 0 && w != 0 && k != 0 {
-            flops::add_l3(2 * (m * w * k) as u64);
-            metrics::add(
-                Counter::BytesMoved,
-                (T::BYTES * (m * k + k * w + 2 * m * w)) as u64,
-            );
-            // Pack buffers come from the executing thread's persistent
-            // workspace, so warm dispatches allocate nothing.
-            par::with_worker_ws(|ws| gemm_blocked(alpha, a, ta, bj, tb, cj, Some(ws), kern));
-        }
-    });
-}
-
-/// [`par_gemm_policy`] with every hardware thread (compatibility shim
-/// for callers without a policy).
-pub fn par_gemm<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    ta: Trans,
-    b: MatRef<'_, T>,
-    tb: Trans,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    par_gemm_policy(&ExecPolicy::max_threads(), alpha, a, ta, b, tb, beta, c);
 }
 
 #[inline]
@@ -441,45 +340,27 @@ pub fn syrk<T: Scalar>(
     assert_eq!(c.cols(), n, "syrk: C must be square");
     assert_eq!(op_rows(a, trans), n, "syrk: op(A) rows vs C order");
     let k = op_cols(a, trans);
+    flops::add_l3((n * n * k) as u64 + (n * n) as u64);
+    metrics::add(Counter::BytesMoved, (T::BYTES * (n * k + n * n)) as u64);
     if syrk_uses_packed(n, k) {
-        syrk_strip_packed(
-            uplo,
-            trans,
-            alpha,
-            a,
-            beta,
-            c.rb_mut(),
-            0,
-            n,
-            None,
-            kernel::active::<T>(),
-        );
+        syrk_packed(uplo, trans, alpha, a, beta, c.rb_mut());
     } else {
-        syrk_cols(uplo, trans, alpha, a, beta, c.rb_mut(), 0, n);
+        syrk_dots(uplo, trans, alpha, a, beta, c.rb_mut());
     }
 }
 
-/// One full-height column strip of [`syrk`]: global columns
-/// `j0 .. j0 + w` of the order-`n` update, where `c` views those
-/// columns with all `n` rows. Every `C(i, j)` entry is computed by the
-/// same fixed-order dot product regardless of how columns are grouped,
-/// so any strip decomposition reproduces the monolithic result
-/// bitwise.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS syrk signature plus the strip window
-fn syrk_cols<T: Scalar>(
+/// The direct path of [`syrk`]: every `C(i, j)` entry of the triangle
+/// is one fixed-order dot product.
+fn syrk_dots<T: Scalar>(
     uplo: Uplo,
     trans: Trans,
     alpha: T,
     a: MatRef<'_, T>,
     beta: T,
     mut c: MatMut<'_, T>,
-    j0: usize,
-    w: usize,
 ) {
     let n = c.rows();
     let k = op_cols(a, trans);
-    flops::add_l3((n * w * k) as u64 + (n * w) as u64);
-    metrics::add(Counter::BytesMoved, (T::BYTES * (w * k + n * w)) as u64);
     // Row i of op(A) dotted with row j of op(A).
     let dot_rows = |i: usize, j: usize| -> T {
         match trans {
@@ -494,18 +375,17 @@ fn syrk_cols<T: Scalar>(
             Trans::Yes => blas1::dot(a.col(i), a.col(j)),
         }
     };
-    for j in 0..w {
-        let jj = j0 + j;
+    for j in 0..n {
         match uplo {
             Uplo::Lower => {
-                for i in jj..n {
-                    let v = alpha * dot_rows(i, jj) + beta * c.get(i, j);
+                for i in j..n {
+                    let v = alpha * dot_rows(i, j) + beta * c.get(i, j);
                     c.set(i, j, v);
                 }
             }
             Uplo::Upper => {
-                for i in 0..=jj {
-                    let v = alpha * dot_rows(i, jj) + beta * c.get(i, j);
+                for i in 0..=j {
+                    let v = alpha * dot_rows(i, j) + beta * c.get(i, j);
                     c.set(i, j, v);
                 }
             }
@@ -513,79 +393,64 @@ fn syrk_cols<T: Scalar>(
     }
 }
 
-/// One full-height column strip of the *packed* [`syrk`]: the strip's
-/// columns are processed in [`SYRK_NB`]-wide blocks, each computed as a
-/// packed GEMM of the triangle rows against the block's rows of
-/// `op(A)`, staged through a scratch rectangle so only the triangle is
-/// written back.
-///
-/// Determinism: each scratch entry's accumulation chain depends only on
-/// the depth-`k` blocking and order — never on the block's row offset,
-/// width, or position within a strip — so any strip decomposition of
-/// the update reproduces the monolithic packed result bitwise.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS syrk signature plus strip window, arena, kernel
-fn syrk_strip_packed<T: Scalar>(
+/// The *packed* path of [`syrk`]: the columns are processed in
+/// [`SYRK_NB`]-wide blocks, each computed as a packed GEMM of the
+/// triangle rows against the block's rows of `op(A)`, staged through a
+/// scratch rectangle so only the triangle is written back.
+fn syrk_packed<T: Scalar>(
     uplo: Uplo,
     trans: Trans,
     alpha: T,
     a: MatRef<'_, T>,
     beta: T,
     mut c: MatMut<'_, T>,
-    j0: usize,
-    w: usize,
-    mut ws: Option<&mut Workspace<T>>,
-    kern: Kernel<T>,
 ) {
     let n = c.rows();
     let k = op_cols(a, trans);
-    flops::add_l3((n * w * k) as u64 + (n * w) as u64);
-    metrics::add(Counter::BytesMoved, (T::BYTES * (w * k + n * w)) as u64);
+    // Resolved once so a concurrent override flip cannot mix ISAs
+    // across the blocks of one update.
+    let kern = kernel::active::<T>();
     let mut jb = 0;
-    while jb < w {
-        let nb = SYRK_NB.min(w - jb);
-        let jj0 = j0 + jb;
+    while jb < n {
+        let nb = SYRK_NB.min(n - jb);
         // Rows of the triangle this block touches.
         let (r0, r1) = match uplo {
-            Uplo::Lower => (jj0, n),
-            Uplo::Upper => (0, jj0 + nb),
+            Uplo::Lower => (jb, n),
+            Uplo::Upper => (0, jb + nb),
         };
         let rows = r1 - r0;
-        let len = rows * nb;
-        let mut tmp = match ws.as_deref_mut() {
-            Some(w) => w.take_vec(len),
-            // bs-lint: allow(no-alloc-hot) -- syrk packed path without a Workspace heap-allocates its nb-column staging once; arena callers hit the Some branch
-            None => vec![T::ZERO; len],
-        };
+        // bs-lint: allow(no-alloc-hot) -- syrk packed path heap-allocates its nb-column staging per block; only the one-shot dense Cholesky calls syrk, never the warm elimination loop
+        let mut tmp = vec![T::ZERO; rows * nb];
         {
             let tm = MatMut::from_parts(&mut tmp, rows, nb, rows);
-            // tmp <- alpha * op(A)[r0..r1, :] * op(A)[jj0..jj0+nb, :]ᵀ
+            // tmp <- alpha * op(A)[r0..r1, :] * op(A)[jb..jb+nb, :]ᵀ
             match trans {
                 Trans::No => gemm_blocked(
                     alpha,
                     a.sub(r0, 0, rows, k),
                     Trans::No,
-                    a.sub(jj0, 0, nb, k),
+                    a.sub(jb, 0, nb, k),
                     Trans::Yes,
                     tm,
-                    ws.as_deref_mut(),
+                    None,
                     kern,
                 ),
                 Trans::Yes => gemm_blocked(
                     alpha,
                     a.sub(0, r0, k, rows),
                     Trans::Yes,
-                    a.sub(0, jj0, k, nb),
+                    a.sub(0, jb, k, nb),
                     Trans::No,
                     tm,
-                    ws.as_deref_mut(),
+                    None,
                     kern,
                 ),
             }
         }
         for j in 0..nb {
-            let jj = jj0 + j;
+            let jj = jb + j;
             let tcol = &tmp[j * rows..(j + 1) * rows];
-            let ccol = c.col_mut(jb + j);
+            let ccol = c.col_mut(jj);
             let (i0, i1) = match uplo {
                 Uplo::Lower => (jj, n),
                 Uplo::Upper => (0, jj + 1),
@@ -594,99 +459,7 @@ fn syrk_strip_packed<T: Scalar>(
                 ccol[i] = tcol[i - r0] + beta * ccol[i];
             }
         }
-        if let Some(w) = ws.as_deref_mut() {
-            w.give_vec(tmp);
-        }
         jb += nb;
-    }
-}
-
-/// Parallel [`syrk`] under an [`ExecPolicy`]: the update's column
-/// strips run on the pool. Entries are computed independently of the
-/// strip decomposition (for both the packed and the dot-loop path), so
-/// the result is bitwise identical to the sequential update.
-pub fn syrk_policy<T: Scalar>(
-    policy: &ExecPolicy,
-    uplo: Uplo,
-    trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    let n = c.rows();
-    assert_eq!(c.cols(), n, "syrk: C must be square");
-    assert_eq!(op_rows(a, trans), n, "syrk: op(A) rows vs C order");
-    let k = op_cols(a, trans);
-    // Kernel-choice predicate from the full dims, microkernel resolved
-    // once — both shared by every strip, for bitwise determinism.
-    let packed = syrk_uses_packed(n, k);
-    let kern = kernel::active::<T>();
-    // The triangle holds ~n²/2 entries of k-long dots.
-    let work = (n as u128 * n as u128 * k as u128) / 2;
-    if policy.threads <= 1 || par::in_dispatch() || work < policy.min_work as u128 {
-        if packed {
-            syrk_strip_packed(uplo, trans, alpha, a, beta, c.rb_mut(), 0, n, None, kern);
-        } else {
-            syrk_cols(uplo, trans, alpha, a, beta, c.rb_mut(), 0, n);
-        }
-        return;
-    }
-    let width = policy.partition.strip_width(n);
-    // bs-lint: allow(no-alloc-hot) -- O(strips) syrk strip descriptors; each mutably borrows a disjoint column block of C, which a pool cannot hand out
-    let mut strips: Vec<(usize, MatMut<'_, T>)> = Vec::with_capacity(n.div_ceil(width));
-    let mut rest = c;
-    let mut start = 0;
-    while start < n {
-        let w = width.min(n - start);
-        let (head, tail) = rest.split_at_col(w);
-        strips.push((start, head));
-        rest = tail;
-        start += w;
-    }
-    par::for_each_policy(policy, strips, |(j0, cj)| {
-        let w = cj.cols();
-        if packed {
-            par::with_worker_ws(|ws| {
-                syrk_strip_packed(uplo, trans, alpha, a, beta, cj, j0, w, Some(ws), kern)
-            });
-        } else {
-            syrk_cols(uplo, trans, alpha, a, beta, cj, j0, w);
-        }
-    });
-}
-
-/// [`syrk`] in workspace-threaded form: the packed path stages its
-/// scratch rectangle and pack buffers through `ws`, so repeated updates
-/// of the same shape allocate nothing.
-pub fn syrk_ws<T: Scalar>(
-    uplo: Uplo,
-    trans: Trans,
-    alpha: T,
-    a: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    ws: &mut Workspace<T>,
-) {
-    let n = c.rows();
-    assert_eq!(c.cols(), n, "syrk: C must be square");
-    assert_eq!(op_rows(a, trans), n, "syrk: op(A) rows vs C order");
-    let k = op_cols(a, trans);
-    if syrk_uses_packed(n, k) {
-        syrk_strip_packed(
-            uplo,
-            trans,
-            alpha,
-            a,
-            beta,
-            c.rb_mut(),
-            0,
-            n,
-            Some(ws),
-            kernel::active::<T>(),
-        );
-    } else {
-        syrk_cols(uplo, trans, alpha, a, beta, c.rb_mut(), 0, n);
     }
 }
 
@@ -709,38 +482,7 @@ pub fn trsm<T: Scalar>(
     unit_diag: bool,
     alpha: T,
     a: MatRef<'_, T>,
-    b: MatMut<'_, T>,
-) -> Result<()> {
-    trsm_dispatch(side, uplo, trans, unit_diag, alpha, a, b, None)
-}
-
-/// [`trsm`] with scratch (the blocked paths' staging buffers, the small
-/// `Side::Right` row buffer) checked out of `ws` instead of heap
-/// allocated.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS trsm signature plus the arena
-pub fn trsm_ws<T: Scalar>(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatMut<'_, T>,
-    ws: &mut Workspace<T>,
-) -> Result<()> {
-    trsm_dispatch(side, uplo, trans, unit_diag, alpha, a, b, Some(ws))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn trsm_dispatch<T: Scalar>(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    alpha: T,
-    a: MatRef<'_, T>,
     mut b: MatMut<'_, T>,
-    ws: Option<&mut Workspace<T>>,
 ) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "trsm: A must be square");
@@ -757,7 +499,7 @@ fn trsm_dispatch<T: Scalar>(
     match side {
         Side::Left => {
             if n > TRSM_NB {
-                return trsm_left_blocked(uplo, trans, unit_diag, a, b, ws, kernel::active::<T>());
+                return trsm_left_blocked(uplo, trans, unit_diag, a, b, kernel::active::<T>());
             }
             for j in 0..b.cols() {
                 trsm_left_col(uplo, trans, unit_diag, a, b.col_mut(j))?;
@@ -766,19 +508,13 @@ fn trsm_dispatch<T: Scalar>(
         }
         Side::Right => {
             if n > TRSM_NB {
-                return trsm_right_blocked(uplo, trans, unit_diag, a, b, ws, kernel::active::<T>());
+                return trsm_right_blocked(uplo, trans, unit_diag, a, b, kernel::active::<T>());
             }
             // X op(A) = B  <=>  op(A)ᵀ Xᵀ = Bᵀ: solve row by row of B.
             let m = b.rows();
-            let (mut row, ws) = match ws {
-                Some(ws) => {
-                    let r = ws.take_vec(n);
-                    (r, Some(ws))
-                }
-                // bs-lint: allow(no-alloc-hot) -- row-staging fallback when no arena is supplied; the warm factor path always passes Some(ws)
-                None => (vec![T::ZERO; n], None),
-            };
-            let r = (0..m).try_for_each(|i| {
+            // bs-lint: allow(no-alloc-hot) -- one order-n row-staging buffer per small right-side trsm; its callers (generator build, dense Cholesky) run once per factorization
+            let mut row = vec![T::ZERO; n];
+            (0..m).try_for_each(|i| {
                 for j in 0..n {
                     row[j] = b.get(i, j);
                 }
@@ -793,11 +529,7 @@ fn trsm_dispatch<T: Scalar>(
                     b.set(i, j, row[j]);
                 }
                 Ok(())
-            });
-            if let Some(ws) = ws {
-                ws.give_vec(row);
-            }
-            r
+            })
         }
     }
 }
@@ -814,7 +546,6 @@ fn offset_singular(e: Error, off: usize) -> Error {
 /// usual level-3 accounting and always runs the packed engine, so the
 /// per-column accumulation chains are independent of how `B`'s columns
 /// are stripped.
-#[allow(clippy::too_many_arguments)] // internal engine: BLAS signature plus arena and kernel
 fn gemm_update<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -822,7 +553,6 @@ fn gemm_update<T: Scalar>(
     b: MatRef<'_, T>,
     tb: Trans,
     c: MatMut<'_, T>,
-    ws: Option<&mut Workspace<T>>,
     kern: Kernel<T>,
 ) {
     let m = c.rows();
@@ -836,7 +566,7 @@ fn gemm_update<T: Scalar>(
         Counter::BytesMoved,
         (T::BYTES * (m * k + k * n + 2 * m * n)) as u64,
     );
-    gemm_blocked(alpha, a, ta, b, tb, c, ws, kern);
+    gemm_blocked(alpha, a, ta, b, tb, c, None, kern);
 }
 
 /// Blocked `Side::Left` solve: `op(A) X = B` in [`TRSM_NB`]-order
@@ -852,49 +582,16 @@ fn trsm_left_blocked<T: Scalar>(
     trans: Trans,
     unit_diag: bool,
     a: MatRef<'_, T>,
-    b: MatMut<'_, T>,
-    mut ws: Option<&mut Workspace<T>>,
+    mut b: MatMut<'_, T>,
     kern: Kernel<T>,
 ) -> Result<()> {
     let ncols = b.cols();
     if ncols == 0 {
         return Ok(());
     }
-    let len = TRSM_NB * ncols;
-    let mut xbuf = match ws.as_deref_mut() {
-        Some(w) => w.take_vec(len),
-        // bs-lint: allow(no-alloc-hot) -- trsm-left block buffer for arena-less callers; pooled solves check out of ws above
-        None => vec![T::ZERO; len],
-    };
-    let r = trsm_left_blocked_go(
-        uplo,
-        trans,
-        unit_diag,
-        a,
-        b,
-        &mut xbuf,
-        ws.as_deref_mut(),
-        kern,
-    );
-    if let Some(w) = ws {
-        w.give_vec(xbuf);
-    }
-    r
-}
-
-#[allow(clippy::too_many_arguments)] // internal: split from trsm_left_blocked so `?` cannot leak the checkout
-fn trsm_left_blocked_go<T: Scalar>(
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    a: MatRef<'_, T>,
-    mut b: MatMut<'_, T>,
-    xbuf: &mut [T],
-    mut ws: Option<&mut Workspace<T>>,
-    kern: Kernel<T>,
-) -> Result<()> {
+    // bs-lint: allow(no-alloc-hot) -- trsm-left block buffer, one per blocked solve; trsm runs outside the warm elimination loop
+    let mut xbuf = vec![T::ZERO; TRSM_NB * ncols];
     let n = a.rows();
-    let ncols = b.cols();
     // Forward when op(A) is lower triangular (solve top block first).
     let forward = matches!(
         (uplo, trans),
@@ -925,7 +622,6 @@ fn trsm_left_blocked_go<T: Scalar>(
                 xk,
                 Trans::No,
                 b.sub_mut(kb + nb, 0, rest, ncols),
-                ws.as_deref_mut(),
                 kern,
             ),
             (Uplo::Upper, Trans::Yes) if rest > 0 => gemm_update(
@@ -935,7 +631,6 @@ fn trsm_left_blocked_go<T: Scalar>(
                 xk,
                 Trans::No,
                 b.sub_mut(kb + nb, 0, rest, ncols),
-                ws.as_deref_mut(),
                 kern,
             ),
             (Uplo::Upper, Trans::No) if kb > 0 => gemm_update(
@@ -945,7 +640,6 @@ fn trsm_left_blocked_go<T: Scalar>(
                 xk,
                 Trans::No,
                 b.sub_mut(0, 0, kb, ncols),
-                ws.as_deref_mut(),
                 kern,
             ),
             (Uplo::Lower, Trans::Yes) if kb > 0 => gemm_update(
@@ -955,7 +649,6 @@ fn trsm_left_blocked_go<T: Scalar>(
                 xk,
                 Trans::No,
                 b.sub_mut(0, 0, kb, ncols),
-                ws.as_deref_mut(),
                 kern,
             ),
             _ => {}
@@ -974,42 +667,10 @@ fn trsm_right_blocked<T: Scalar>(
     trans: Trans,
     unit_diag: bool,
     a: MatRef<'_, T>,
-    b: MatMut<'_, T>,
-    mut ws: Option<&mut Workspace<T>>,
-    kern: Kernel<T>,
-) -> Result<()> {
-    let mut row = match ws.as_deref_mut() {
-        Some(w) => w.take_vec(TRSM_NB),
-        // bs-lint: allow(no-alloc-hot) -- trsm-right row buffer for arena-less callers; the Some branch serves the pooled path
-        None => vec![T::ZERO; TRSM_NB],
-    };
-    let r = trsm_right_blocked_go(
-        uplo,
-        trans,
-        unit_diag,
-        a,
-        b,
-        &mut row,
-        ws.as_deref_mut(),
-        kern,
-    );
-    if let Some(w) = ws {
-        w.give_vec(row);
-    }
-    r
-}
-
-#[allow(clippy::too_many_arguments)] // internal: split from trsm_right_blocked so `?` cannot leak the checkout
-fn trsm_right_blocked_go<T: Scalar>(
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    a: MatRef<'_, T>,
     mut b: MatMut<'_, T>,
-    row: &mut [T],
-    mut ws: Option<&mut Workspace<T>>,
     kern: Kernel<T>,
 ) -> Result<()> {
+    let mut row = [T::ZERO; TRSM_NB];
     let n = a.rows();
     let m = b.rows();
     // Forward (left-to-right over B's column blocks) when op(A) is
@@ -1056,16 +717,7 @@ fn trsm_right_blocked_go<T: Scalar>(
                 (Uplo::Upper, Trans::No) => (a.sub(kb, kb + nb, nb, rest), Trans::No),
                 _ => (a.sub(kb + nb, kb, rest, nb), Trans::Yes), // (Lower, Yes)
             };
-            gemm_update(
-                -T::ONE,
-                xk,
-                Trans::No,
-                ap,
-                tb2,
-                target.rb_mut(),
-                ws.as_deref_mut(),
-                kern,
-            );
+            gemm_update(-T::ONE, xk, Trans::No, ap, tb2, target.rb_mut(), kern);
         } else if !forward && kb > 0 {
             let bv = b.rb_mut();
             let (mut target, xpart) = bv.split_at_col(kb);
@@ -1074,24 +726,14 @@ fn trsm_right_blocked_go<T: Scalar>(
                 (Uplo::Lower, Trans::No) => (a.sub(kb, 0, nb, kb), Trans::No),
                 _ => (a.sub(0, kb, kb, nb), Trans::Yes), // (Upper, Yes)
             };
-            gemm_update(
-                -T::ONE,
-                xk,
-                Trans::No,
-                ap,
-                tb2,
-                target.rb_mut(),
-                ws.as_deref_mut(),
-                kern,
-            );
+            gemm_update(-T::ONE, xk, Trans::No, ap, tb2, target.rb_mut(), kern);
         }
     }
     Ok(())
 }
 
-/// One column of a `Side::Left` triangular solve — the independent unit
-/// of work the parallel driver distributes (and the diagonal-block
-/// solve of the blocked path).
+/// One column of a `Side::Left` triangular solve (also the
+/// diagonal-block solve of the blocked path).
 fn trsm_left_col<T: Scalar>(
     uplo: Uplo,
     trans: Trans,
@@ -1122,87 +764,6 @@ fn trsm_left_col<T: Scalar>(
                 blas2::trsv_upper_t(a, col)
             }
         }
-    }
-}
-
-/// Parallel [`trsm`] under an [`ExecPolicy`].
-///
-/// `Side::Left` distributes `B`'s columns (each an independent
-/// triangular solve) across the pool in deterministic strips — results
-/// are bitwise identical to the sequential solve, because the
-/// blocked/level-2 choice comes from the triangle order alone and the
-/// blocked path's update chains are column-decomposable. `Side::Right`
-/// couples the rows of `B` through a shared scratch row and stays
-/// sequential; it simply forwards to [`trsm`].
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS trsm signature plus the policy
-pub fn trsm_policy<T: Scalar>(
-    policy: &ExecPolicy,
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatMut<'_, T>,
-) -> Result<()> {
-    let n = a.rows();
-    let ncols = b.cols();
-    // Each column costs ~n²/2 multiply-adds.
-    let work = (n as u128 * n as u128 * ncols as u128) / 2;
-    if side == Side::Right
-        || policy.threads <= 1
-        || par::in_dispatch()
-        || work < policy.min_work as u128
-        || ncols < 2
-    {
-        return trsm(side, uplo, trans, unit_diag, alpha, a, b);
-    }
-    assert_eq!(a.cols(), n, "trsm: A must be square");
-    assert_eq!(b.rows(), n, "trsm left: A order vs B rows");
-
-    // Blocked/level-2 choice from the triangle order, microkernel
-    // resolved once — shared by every strip, for bitwise determinism.
-    let blocked = n > TRSM_NB;
-    let kern = kernel::active::<T>();
-    let width = policy.partition.strip_width(ncols);
-    // bs-lint: allow(no-alloc-hot) -- O(strips) strip descriptors at dispatch; the descriptors borrow B, so they cannot live in a pool
-    let mut strips: Vec<(usize, MatMut<'_, T>)> = Vec::with_capacity(ncols.div_ceil(width));
-    let mut rest = b;
-    let mut start = 0;
-    while start < ncols {
-        let w = width.min(ncols - start);
-        let (head, tail) = rest.split_at_col(w);
-        strips.push((start, head));
-        rest = tail;
-        start += w;
-    }
-    // Strips report failures through a shared slot; the lowest column
-    // index wins so the surfaced error is deterministic.
-    let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
-    par::for_each_policy(policy, strips, |(j0, mut bj)| {
-        // bs-lint: allow(float-eq) -- BLAS trmm convention: alpha exactly 1.0 skips the per-column scal inside each strip
-        if alpha != T::ONE {
-            for j in 0..bj.cols() {
-                blas1::scal(alpha, bj.col_mut(j));
-            }
-        }
-        let r = if blocked {
-            par::with_worker_ws(|ws| {
-                trsm_left_blocked(uplo, trans, unit_diag, a, bj, Some(ws), kern)
-            })
-        } else {
-            (0..bj.cols()).try_for_each(|j| trsm_left_col(uplo, trans, unit_diag, a, bj.col_mut(j)))
-        };
-        if let Err(e) = r {
-            let mut slot = failed.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.as_ref().is_none_or(|(seen, _)| j0 < *seen) {
-                *slot = Some((j0, e));
-            }
-        }
-    });
-    match failed.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -1468,20 +1029,6 @@ mod tests {
         let mut c = c0.clone();
         gemm(2.0, a.rf(), Trans::No, b.rf(), Trans::No, 3.0, c.mt());
         assert!(c.max_abs_diff(&want) < 1e-10);
-    }
-
-    #[test]
-    fn par_gemm_matches_sequential() {
-        let m = 95;
-        let k = 83;
-        let n = 141;
-        let a = mat(m, k, 8);
-        let b = mat(k, n, 9);
-        let mut c1 = mat(m, n, 10);
-        let mut c2 = c1.clone();
-        gemm(1.5, a.rf(), Trans::No, b.rf(), Trans::No, 0.5, c1.mt());
-        par_gemm(1.5, a.rf(), Trans::No, b.rf(), Trans::No, 0.5, c2.mt());
-        assert!(c1.max_abs_diff(&c2) < 1e-10);
     }
 
     #[test]
@@ -1874,192 +1421,6 @@ mod tests {
         assert!(matches!(
             r,
             Err(crate::Error::SingularTriangle { index: 1 })
-        ));
-    }
-
-    #[test]
-    fn par_gemm_policy_is_bitwise_across_thread_counts() {
-        // The determinism contract: strips are fixed by the partition,
-        // the kernel choice comes from the full dims, and the blocked
-        // kernel is column-decomposable — so every thread count gives
-        // the exact same bits, including the sequential fallback.
-        let m = 64;
-        let k = 48;
-        let n = 96;
-        let a = mat(m, k, 40);
-        let b = mat(k, n, 41);
-        let c0 = mat(m, n, 42);
-        let mut base = c0.clone();
-        gemm(1.25, a.rf(), Trans::No, b.rf(), Trans::No, 0.5, base.mt());
-        for threads in [1usize, 2, 3, par::current_num_threads().max(2) * 4] {
-            let policy = ExecPolicy {
-                threads,
-                min_work: 1,
-                partition: crate::par::Partition::Auto,
-            };
-            let mut c = c0.clone();
-            par_gemm_policy(
-                &policy,
-                1.25,
-                a.rf(),
-                Trans::No,
-                b.rf(),
-                Trans::No,
-                0.5,
-                c.mt(),
-            );
-            assert_eq!(
-                c.max_abs_diff(&base),
-                0.0,
-                "threads={threads}: parallel gemm must be bitwise sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn syrk_policy_is_bitwise_across_thread_counts() {
-        let a = mat(40, 24, 43);
-        let c0 = mat(40, 40, 44);
-        for (uplo, trans, aa) in [
-            (Uplo::Lower, Trans::No, &a),
-            (Uplo::Upper, Trans::Yes, &a.transpose()),
-        ] {
-            let mut base = c0.clone();
-            syrk(uplo, trans, 1.5, aa.rf(), 0.25, base.mt());
-            for threads in [1usize, 2, 5] {
-                let policy = ExecPolicy {
-                    threads,
-                    min_work: 1,
-                    partition: crate::par::Partition::Width(7),
-                };
-                let mut c = c0.clone();
-                syrk_policy(&policy, uplo, trans, 1.5, aa.rf(), 0.25, c.mt());
-                assert_eq!(
-                    c.max_abs_diff(&base),
-                    0.0,
-                    "threads={threads} uplo={uplo:?}: parallel syrk must be bitwise sequential"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trsm_policy_left_is_bitwise_and_right_falls_back() {
-        let n = 24;
-        let l = lower_tri(n, 45);
-        let b0 = mat(n, 33, 46);
-        let mut base = b0.clone();
-        trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            false,
-            1.5,
-            l.rf(),
-            base.mt(),
-        )
-        .unwrap();
-        for threads in [1usize, 2, 4] {
-            let policy = ExecPolicy {
-                threads,
-                min_work: 1,
-                partition: crate::par::Partition::Width(5),
-            };
-            let mut b = b0.clone();
-            trsm_policy(
-                &policy,
-                Side::Left,
-                Uplo::Lower,
-                Trans::No,
-                false,
-                1.5,
-                l.rf(),
-                b.mt(),
-            )
-            .unwrap();
-            assert_eq!(b.max_abs_diff(&base), 0.0, "threads={threads}");
-        }
-        // Right side stays sequential but must still be correct.
-        let x = mat(4, n, 47);
-        let mut b = Matrix::zeros(4, n);
-        gemm(1.0, x.rf(), Trans::No, l.rf(), Trans::No, 0.0, b.mt());
-        trsm_policy(
-            &ExecPolicy::with_threads(4),
-            Side::Right,
-            Uplo::Lower,
-            Trans::No,
-            false,
-            1.0,
-            l.rf(),
-            b.mt(),
-        )
-        .unwrap();
-        assert!(b.max_abs_diff(&x) < 1e-10);
-    }
-
-    #[test]
-    fn trsm_policy_blocked_is_bitwise_across_thread_counts() {
-        // Above TRSM_NB, strips run the blocked solve; its update chains
-        // are column-decomposable so strip width never changes the bits.
-        let n = 80;
-        let ncols = 21;
-        let l = dd_lower_tri(n, 80);
-        let b0 = mat(n, ncols, 81);
-        let mut base = b0.clone();
-        trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            false,
-            1.5,
-            l.rf(),
-            base.mt(),
-        )
-        .unwrap();
-        for threads in [1usize, 2, 4] {
-            let policy = ExecPolicy {
-                threads,
-                min_work: 1,
-                partition: crate::par::Partition::Width(5),
-            };
-            let mut b = b0.clone();
-            trsm_policy(
-                &policy,
-                Side::Left,
-                Uplo::Lower,
-                Trans::No,
-                false,
-                1.5,
-                l.rf(),
-                b.mt(),
-            )
-            .unwrap();
-            assert_eq!(b.max_abs_diff(&base), 0.0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn trsm_policy_surfaces_deterministic_error() {
-        let mut l = lower_tri(6, 48);
-        l[(2, 2)] = 0.0;
-        let mut b = mat(6, 20, 49);
-        let r = trsm_policy(
-            &ExecPolicy {
-                threads: 3,
-                min_work: 1,
-                partition: crate::par::Partition::Width(4),
-            },
-            Side::Left,
-            Uplo::Lower,
-            Trans::No,
-            false,
-            1.0,
-            l.rf(),
-            b.mt(),
-        );
-        assert!(matches!(
-            r,
-            Err(crate::Error::SingularTriangle { index: 2 })
         ));
     }
 

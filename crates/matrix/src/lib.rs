@@ -46,10 +46,7 @@ pub mod trmm;
 pub mod view;
 pub mod workspace;
 
-pub use blas3::{
-    gemm, gemm_ws, par_gemm, par_gemm_policy, syrk, syrk_policy, syrk_ws, trsm, trsm_policy,
-    trsm_ws, Side, Trans, Uplo,
-};
+pub use blas3::{gemm, gemm_ws, syrk, trsm, Side, Trans, Uplo};
 pub use chol::cholesky_in_place;
 pub use dense::Matrix;
 pub use ldlt::{ldlt_in_place, Signature};

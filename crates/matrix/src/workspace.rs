@@ -136,7 +136,7 @@ impl<T: Scalar> Workspace<T> {
 
     /// Return a buffer to the pool for reuse. Accepts any vector,
     /// including ones the workspace did not hand out (that is how a
-    /// solver donates a retired factor's storage).
+    /// refactor recycles a retired factor's storage).
     pub fn give_vec(&mut self, v: Vec<T>) {
         self.outstanding -= 1;
         self.live_elems = self.live_elems.saturating_sub(v.len());

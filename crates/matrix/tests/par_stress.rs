@@ -87,17 +87,32 @@ fn parallel_gemm_flops_aggregate_across_workers() {
     );
     let seq_flops = metrics::total(Counter::FlopsBlas3) - before_seq;
 
+    // The same product as column strips of C on the worker pool, the
+    // way callers parallelize level-3 work. Every strip is 16 columns
+    // wide so each strip takes the packed kernel, like the full product.
+    const STRIP: usize = 16;
     let mut c_par = bs_matrix::Matrix::zeros(n, n);
     let before_par = metrics::total(Counter::FlopsBlas3);
-    bs_matrix::blas3::par_gemm(
-        1.0,
-        a.rf(),
-        bs_matrix::Trans::No,
-        b.rf(),
-        bs_matrix::Trans::No,
-        0.0,
-        c_par.mt(),
-    );
+    {
+        let mut strips = Vec::new();
+        let mut rest = c_par.mt();
+        for s in 0..n / STRIP {
+            let (head, tail) = rest.split_at_col(STRIP);
+            strips.push((s * STRIP, head));
+            rest = tail;
+        }
+        par::for_each(strips, |(j0, cj)| {
+            bs_matrix::gemm(
+                1.0,
+                a.rf(),
+                bs_matrix::Trans::No,
+                b.sub(0, j0, n, STRIP),
+                bs_matrix::Trans::No,
+                0.0,
+                cj,
+            );
+        });
+    }
     let par_flops = metrics::total(Counter::FlopsBlas3) - before_par;
 
     assert_eq!(c_seq.max_abs_diff(&c_par), 0.0);

@@ -40,7 +40,9 @@ pub const N_BUCKETS: usize = (N_GROUPS + 1) * SUB_COUNT;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// End-to-end `ToeplitzSolver::solve` latency (ns).
+    /// End-to-end per-column `Factor::solve_col_into` latency (ns); every
+    /// solve surface (`solve`, `solve_batch`, served requests) records
+    /// one sample per right-hand side.
     SolveNs,
     /// One block Schur elimination step (SPD or indefinite), ns.
     FactorStepNs,

@@ -2,8 +2,10 @@
 //! thread stampede, admission-control shedding, and loopback
 //! client/server round-trips over TCP and Unix-domain sockets.
 //!
-//! Trace state is process-global, so the tests that arm it serialize
-//! on a shared lock (same discipline as `tests/observability.rs`).
+//! Trace state is process-global, so the tests that arm it, and every
+//! test that factors an operator (its `plan_built` events would land in
+//! an armed trace), serialize on a shared lock (same discipline as
+//! `tests/observability.rs`).
 
 use bs_serve::{Client, OperatorCache, ServeError, Server, ServerConfig};
 use bs_toeplitz::workloads;
@@ -83,6 +85,7 @@ fn admission_control_sheds_expensive_requests() {
 /// an in-process `Factor` solve of the same system.
 #[test]
 fn tcp_loopback_solves_match_local_bitwise() {
+    let _g = probe_guard();
     let handle = Server::new(ServerConfig::default())
         .serve_tcp("127.0.0.1:0")
         .unwrap();
@@ -120,6 +123,7 @@ fn tcp_loopback_solves_match_local_bitwise() {
 /// errors without killing the connection.
 #[test]
 fn bad_requests_leave_the_connection_usable() {
+    let _g = probe_guard();
     let handle = Server::new(ServerConfig::default())
         .serve_tcp("127.0.0.1:0")
         .unwrap();
@@ -141,6 +145,7 @@ fn bad_requests_leave_the_connection_usable() {
 /// The Unix-domain transport speaks the same protocol.
 #[test]
 fn uds_loopback_round_trips() {
+    let _g = probe_guard();
     let path = std::env::temp_dir().join(format!("bs-serve-test-{}.sock", std::process::id()));
     let handle = Server::new(ServerConfig::default())
         .serve_uds(&path)

@@ -1,6 +1,6 @@
-//! Solving a large Toeplitz system end to end with the high-level
-//! [`ToeplitzSolver`] API: automatic SPD/indefinite dispatch, block
-//! size tuning, and FFT-accelerated residual verification.
+//! Solving a large Toeplitz system end to end with the [`Factor`]
+//! handle: automatic SPD/indefinite dispatch, block size tuning, and
+//! FFT-accelerated residual verification.
 //!
 //! Run: `cargo run --release --example large_system`
 
@@ -13,18 +13,16 @@ fn main() {
     let t = workloads::random_spd_scalar(n, 99);
     let (b, x_true) = workloads::rhs_for_ones(&t);
 
-    // Factor with a tuned algorithmic block size (§6.5) through the
-    // one-stop solver API.
-    let opts = SolverOptions {
-        spd: SchurOptions {
-            block_size: Some(8),
-            exec: ExecPolicy::max_threads(),
-            ..Default::default()
-        },
+    // Factor with a tuned algorithmic block size (§6.5) under a pinned
+    // plan.
+    let spd = SchurOptions {
+        block_size: Some(8),
+        exec: ExecPolicy::max_threads(),
         ..Default::default()
     };
     let start = Instant::now();
-    let solver = ToeplitzSolver::with_options(&t, &opts).expect("factorization");
+    let plan = FactorPlan::from_options(&t, &spd, &IndefOptions::default()).expect("plan");
+    let solver = Factor::from_plan(&t, plan, RefineOptions::default()).expect("factorization");
     let t_factor = start.elapsed();
 
     let start = Instant::now();
@@ -66,7 +64,7 @@ fn main() {
     let ti = workloads::singular_minor_scalar(n, 5);
     let (bi, xi_true) = workloads::rhs_for_ones(&ti);
     let start = Instant::now();
-    let solver_i = ToeplitzSolver::new(&ti).expect("indefinite factorization");
+    let solver_i = Factor::new(&ti).expect("indefinite factorization");
     let xi = solver_i.solve(&bi).expect("refined solve");
     println!(
         "\nindefinite singular-minor system (n = {n}): solved in {:.1} ms total",

@@ -264,7 +264,7 @@ pub fn cmd_info(matrix: &Path) -> Result<String, CliError> {
             }
         }
     }
-    match ToeplitzSolver::new(&t) {
+    match Factor::new(&t) {
         Ok(s) => {
             let (pos, neg) = s.inertia();
             let (sign, ln) = s.det_sign_ln();
@@ -321,31 +321,23 @@ pub struct EngineArgs {
     pub precision: Precision,
 }
 
-/// Driver options for `solve` / `factor`: the pinned block size plus
-/// the execution policy (`--threads`, falling back to `BS_THREADS` /
-/// sequential via the [`SchurOptions`] default).
-fn solver_options(block_size: Option<usize>, threads: Option<usize>) -> SolverOptions {
-    let mut spd = SchurOptions {
-        block_size,
-        ..Default::default()
-    };
-    if let Some(t) = threads {
-        spd.exec = ExecPolicy::with_threads(t);
-    }
-    SolverOptions {
-        spd,
-        ..Default::default()
-    }
-}
-
-/// Build the solver `solve` / `factor` run. The default f64 engine
-/// keeps the pinned-options path (bitwise identical to prior
-/// releases); a `--precision` of f32 or mixed routes through a
-/// [`PlanRequest`] so the plan carries the demoted factor stage and
-/// its refinement policy.
-fn build_solver(t: &SymBlockToeplitz, eng: &EngineArgs) -> Result<ToeplitzSolver, CliError> {
-    let built = if eng.precision == Precision::F64 {
-        ToeplitzSolver::with_options(t, &solver_options(eng.block_size, eng.threads))
+/// Build the factor `solve` / `factor` run. The default f64 engine
+/// keeps the pinned-options plan (bitwise identical to prior
+/// releases): the pinned block size plus the execution policy
+/// (`--threads`, falling back to `BS_THREADS` / sequential via the
+/// [`SchurOptions`] default). A `--precision` of f32 or mixed routes
+/// through a [`PlanRequest`] so the plan carries the demoted factor
+/// stage and its refinement policy.
+fn build_solver(t: &SymBlockToeplitz, eng: &EngineArgs) -> Result<Factor, CliError> {
+    let plan = if eng.precision == Precision::F64 {
+        let mut spd = SchurOptions {
+            block_size: eng.block_size,
+            ..Default::default()
+        };
+        if let Some(threads) = eng.threads {
+            spd.exec = ExecPolicy::with_threads(threads);
+        }
+        FactorPlan::from_options(t, &spd, &IndefOptions::default())
     } else {
         let req = PlanRequest {
             block_size: eng.block_size,
@@ -353,9 +345,10 @@ fn build_solver(t: &SymBlockToeplitz, eng: &EngineArgs) -> Result<ToeplitzSolver
             precision: eng.precision,
             ..Default::default()
         };
-        ToeplitzSolver::with_plan_request(t, &req)
+        FactorPlan::new(t, &req)
     };
-    built.map_err(|e| CliError::Numerical(e.to_string()))
+    plan.and_then(|plan| Factor::from_plan(t, plan, RefineOptions::default()))
+        .map_err(|e| CliError::Numerical(e.to_string()))
 }
 
 /// `solve` command: returns the solution (column-major when batched)

@@ -34,6 +34,13 @@ fn spd_opts(threads: usize) -> SchurOptions {
     }
 }
 
+/// `Factor::new` with the trailing update and multi-RHS solves pinned
+/// to `threads` workers.
+fn factor_with(t: &SymBlockToeplitz, threads: usize) -> Factor {
+    let plan = FactorPlan::from_options(t, &spd_opts(threads), &IndefOptions::default()).unwrap();
+    Factor::from_plan(t, plan, RefineOptions::default()).unwrap()
+}
+
 #[test]
 fn spd_factorization_is_bitwise_identical_across_thread_counts() {
     let _g = lock();
@@ -72,15 +79,11 @@ fn indefinite_solver_is_bitwise_identical_across_thread_counts() {
     ];
     for t in &systems {
         let (b, _) = workloads::rhs_for_ones(t);
-        let mk = |threads: usize| SolverOptions {
-            spd: spd_opts(threads),
-            ..Default::default()
-        };
-        let base = ToeplitzSolver::with_options(t, &mk(1)).unwrap();
+        let base = factor_with(t, 1);
         let x0 = base.solve(&b).unwrap();
         assert!(!base.is_positive_definite(), "workload must be indefinite");
         for threads in [2usize, max, max * 2] {
-            let s = ToeplitzSolver::with_options(t, &mk(threads)).unwrap();
+            let s = factor_with(t, threads);
             let x = s.solve(&b).unwrap();
             assert_eq!(x, x0, "threads={threads}: indefinite solve differs");
         }
@@ -187,16 +190,30 @@ fn batched_factor_matches_looped_execution_bitwise() {
     // Empty batch is a no-op, not an error.
     let plan = FactorPlan::new(&systems[0], &PlanRequest::default()).unwrap();
     assert!(plan.execute_batch(&[]).unwrap().is_empty());
-    // A mis-shaped system is rejected up front.
+    // A mis-shaped system is rejected up front, naming the dimension
+    // that differs: first the order, then the block size at equal order.
     let wrong = workloads::random_spd_block(2, 12, 3);
     assert!(matches!(
         plan.execute_batch(std::slice::from_ref(&wrong)),
-        Err(block_schur::core::Error::DimensionMismatch { .. })
+        Err(block_schur::core::Error::DimensionMismatch {
+            expected: 16,
+            found: 24,
+            ..
+        })
+    ));
+    let wrong_m = workloads::random_spd_block(4, 4, 3);
+    assert!(matches!(
+        plan.execute_batch(std::slice::from_ref(&wrong_m)),
+        Err(block_schur::core::Error::DimensionMismatch {
+            expected: 2,
+            found: 4,
+            ..
+        })
     ));
 }
 
 #[test]
-fn solve_batch_matches_solve_many_bitwise() {
+fn solve_batch_matches_looped_solves_bitwise() {
     let _g = lock();
     let max = block_schur::matrix::par::current_num_threads();
     // SPD (direct path) and indefinite-with-perturbation (refined path)
@@ -207,22 +224,21 @@ fn solve_batch_matches_solve_many_bitwise() {
     ] {
         let n = t.order();
         let b = Matrix::from_fn(n, 9, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
-        let mk = |threads: usize| SolverOptions {
-            spd: spd_opts(threads),
-            ..Default::default()
-        };
-        let reference = {
-            let s = ToeplitzSolver::with_options(&t, &mk(1)).unwrap();
-            s.solve_many(&b).unwrap()
-        };
+        // The sequential reference: solve_batch on a threads = 1 plan.
+        let reference = factor_with(&t, 1).solve_batch(&b).unwrap();
         for threads in [1usize, 2, max, max * 2] {
-            let s = ToeplitzSolver::with_options(&t, &mk(threads)).unwrap();
-            let looped = s.solve_many(&b).unwrap();
+            let s = factor_with(&t, threads);
+            let mut looped = Matrix::zeros(n, b.cols());
+            for j in 0..b.cols() {
+                looped
+                    .col_mut(j)
+                    .copy_from_slice(&s.solve(b.col(j)).unwrap());
+            }
             let batched = s.solve_batch(&b).unwrap();
             assert_eq!(
                 batched.max_abs_diff(&looped),
                 0.0,
-                "threads={threads} n={n}: solve_batch differs from solve_many"
+                "threads={threads} n={n}: solve_batch differs from looped solves"
             );
             assert_eq!(
                 batched.max_abs_diff(&reference),
@@ -233,7 +249,7 @@ fn solve_batch_matches_solve_many_bitwise() {
     }
     // Shape errors are typed, not panics.
     let t = workloads::random_spd_scalar(8, 1);
-    let s = ToeplitzSolver::new(&t).unwrap();
+    let s = Factor::new(&t).unwrap();
     assert!(matches!(
         s.solve_batch(&Matrix::zeros(5, 2)),
         Err(block_schur::core::Error::DimensionMismatch {

@@ -1,6 +1,6 @@
 //! End-to-end checks of the bs-probe observability layer: stability
 //! monitoring through iterative refinement, the span structure of a
-//! full `ToeplitzSolver::solve`, and JSON-lines export validity.
+//! full `Factor` factor-and-solve, and JSON-lines export validity.
 //!
 //! Trace/stability state is process-global, so each test arms and
 //! disarms the probes around its own instrumented region; the suite
@@ -50,7 +50,7 @@ fn residual_history_is_monotone_on_paper_example() {
     assert_eq!(report.residual_norms, res.residual_norms);
 }
 
-/// A full `ToeplitzSolver` run enters its phases in order:
+/// A full `Factor` run enters its phases in order:
 /// factor, then solve, with refine nested inside solve.
 #[test]
 fn solver_trace_has_factor_solve_refine_sequence() {
@@ -60,7 +60,7 @@ fn solver_trace_has_factor_solve_refine_sequence() {
 
     bs_probe::trace::clear();
     bs_probe::trace::enable();
-    let solver = ToeplitzSolver::new(&t).unwrap();
+    let solver = Factor::new(&t).unwrap();
     let x = solver.solve(&b).unwrap();
     bs_probe::trace::disable();
     let events = bs_probe::trace::take_events();
@@ -94,7 +94,7 @@ fn exported_trace_is_valid_jsonl() {
 
     bs_probe::reset_all();
     bs_probe::enable_all(1e8);
-    let solver = ToeplitzSolver::new(&t).unwrap();
+    let solver = Factor::new(&t).unwrap();
     solver.solve(&b).unwrap();
     bs_probe::disable_all();
 
@@ -145,7 +145,7 @@ fn profile_roots_cover_wall_and_exports_are_valid() {
     bs_probe::trace::clear();
     bs_probe::trace::enable();
     let wall = std::time::Instant::now();
-    let solver = ToeplitzSolver::new(&t).unwrap();
+    let solver = Factor::new(&t).unwrap();
     let x = solver.solve(&b).unwrap();
     let wall_ns = wall.elapsed().as_nanos() as u64;
     bs_probe::trace::disable();
@@ -206,7 +206,7 @@ fn solve_latency_histogram_has_quantiles() {
 
     bs_probe::reset_all();
     bs_probe::histogram::enable();
-    let solver = ToeplitzSolver::new(&t).unwrap();
+    let solver = Factor::new(&t).unwrap();
     for _ in 0..8 {
         solver.solve(&b).unwrap();
     }

@@ -284,7 +284,7 @@ fn gohberg_semencul_inverts() {
         let mut rng = Rng::seed_from_u64(12_000 + seed);
         let row = spd_scalar_row(&mut rng, 32);
         let t = SymBlockToeplitz::from_scalar_row(&row);
-        let solver = ToeplitzSolver::new(&t).unwrap();
+        let solver = Factor::new(&t).unwrap();
         let inv = solver.inverse_representation().unwrap();
         let n = t.order();
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.31).sin()).collect();

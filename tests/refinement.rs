@@ -39,12 +39,13 @@ fn precision_forced() -> bool {
     std::env::var_os("BS_PRECISION").is_some()
 }
 
-fn solver_with(t: &SymBlockToeplitz, precision: Precision) -> ToeplitzSolver {
+fn solver_with(t: &SymBlockToeplitz, precision: Precision) -> Factor {
     let req = PlanRequest {
         precision,
         ..Default::default()
     };
-    ToeplitzSolver::with_plan_request(t, &req).unwrap()
+    let plan = FactorPlan::new(t, &req).unwrap();
+    Factor::from_plan(t, plan, RefineOptions::default()).unwrap()
 }
 
 /// The conditioning sweep: Kac–Murdock–Szegő matrices harden as
@@ -183,7 +184,12 @@ fn mixed_solve_batch_matches_looped_solves() {
     let n = t.order();
     let b = Matrix::from_fn(n, 5, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
     let smx = solver_with(&t, Precision::Mixed);
-    let looped = smx.solve_many(&b).unwrap();
+    let mut looped = Matrix::zeros(n, 5);
+    for j in 0..5 {
+        looped
+            .col_mut(j)
+            .copy_from_slice(&smx.solve(b.col(j)).unwrap());
+    }
     let batched = smx.solve_batch(&b).unwrap();
     assert_eq!(
         batched.max_abs_diff(&looped),
