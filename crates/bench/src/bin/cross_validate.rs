@@ -8,8 +8,8 @@
 use bs_baselines::{block_levinson_solve, dense_lu_solve, levinson_solve};
 use bs_bench::{print_table, quick_mode, sci};
 use bs_core::{
-    factor_indefinite, factor_spd, solve_refined, IndefOptions, RefineOptions, RepKind,
-    SchurOptions,
+    factor_indefinite, factor_spd, solve_refined, IndefOptions, RefineOperator, RefineOptions,
+    RepKind, SchurOptions,
 };
 use bs_simulator::dist_exec::factor_distributed;
 use bs_simulator::Scheme;
@@ -84,8 +84,14 @@ fn main() {
                 let x_lu = lu.solve(&b).expect("lu solve");
                 match factor_indefinite(&t, &IndefOptions::default()) {
                     Ok(f) => {
-                        let res = solve_refined(&t, &f, &b, &RefineOptions::default())
-                            .expect("refinement");
+                        let res = solve_refined(
+                            &t,
+                            &RefineOperator::new(&t),
+                            &f,
+                            &b,
+                            &RefineOptions::default(),
+                        )
+                        .expect("refinement");
                         if res.converged {
                             // Allow conditioning-scaled tolerance.
                             let err = max_err(&res.x, &x_lu) / cond.max(1.0);

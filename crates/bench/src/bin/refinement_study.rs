@@ -13,7 +13,7 @@
 
 use bs_baselines::pcg;
 use bs_bench::{print_table, quick_mode, sci};
-use bs_core::{factor_indefinite, solve_refined, IndefOptions, RefineOptions};
+use bs_core::{factor_indefinite, solve_refined, IndefOptions, RefineOperator, RefineOptions};
 use bs_toeplitz::workloads;
 
 fn main() {
@@ -42,7 +42,14 @@ fn main() {
             // refinement iteration (residual + factor solve), which is
             // the honest per-iteration comparison with PCG.
             bs_matrix::flops::reset();
-            let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+            let res = solve_refined(
+                &t,
+                &RefineOperator::new(&t),
+                &f,
+                &b,
+                &RefineOptions::default(),
+            )
+            .unwrap();
             let ref_flops = bs_matrix::flops::get();
             let (_, ref_iter_flops) = bs_matrix::flops::measure(|| {
                 let r = t.residual(&res.x, &b);

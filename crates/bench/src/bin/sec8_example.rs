@@ -12,7 +12,7 @@
 //! Run: `cargo run -p bs-bench --release --bin sec8_example`
 
 use bs_bench::{print_table, sci};
-use bs_core::{factor_indefinite, solve_refined, IndefOptions, RefineOptions};
+use bs_core::{factor_indefinite, solve_refined, IndefOptions, RefineOperator, RefineOptions};
 use bs_matrix::Matrix;
 use bs_toeplitz::workloads;
 
@@ -78,7 +78,14 @@ fn main() {
         sci(err(&x1)),
         "3.6375e-5".into(),
     ]);
-    let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+    let res = solve_refined(
+        &t,
+        &RefineOperator::new(&t),
+        &f,
+        &b,
+        &RefineOptions::default(),
+    )
+    .unwrap();
     // Recompute the per-iterate errors by replaying.
     let mut x = x1.clone();
     for (i, _) in res.correction_norms.iter().enumerate() {

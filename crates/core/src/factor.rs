@@ -2,7 +2,8 @@
 //!
 //! [`Factor`] is the one object the paper's solver is: it owns the
 //! system copy, the [`FactorPlan`], the factorization `T = RᵀR` (or
-//! `T + δT = RᵀDR`, §8) and the refinement config. Every solve surface
+//! `T + δT = RᵀDR`, §8), the refinement config and, when its solves
+//! refine, the prepared [`RefineOperator`]. Every solve surface
 //! takes `&self`, so a `Factor` behind an [`Arc`] can serve interleaved
 //! solves from any number of threads, with results bitwise identical to
 //! a sequential run (each column runs the identical per-column
@@ -20,7 +21,7 @@
 
 use crate::indefinite::{IndefFactor, IndefOptions};
 use crate::plan::{FactorPlan, PlanWorkspace, Precision};
-use crate::refine::{solve_refined, RefineOptions};
+use crate::refine::{solve_refined, RefineOperator, RefineOptions, RefineResult};
 use crate::schur::{SchurOptions, SpdFactor};
 use crate::solve::solve_rtdr_in_place;
 use crate::{Error, Result};
@@ -104,6 +105,11 @@ pub struct Factor {
     plan: FactorPlan,
     factorization: Factorization,
     refine: RefineOptions,
+    /// The refinement's operator side (`‖T‖∞`, FFT symbols where the
+    /// shape favours them), prepared when this factor's solves refine:
+    /// under [`Precision::Mixed`] and after a δ perturbation. `None`
+    /// for SPD and unperturbed indefinite factors.
+    refine_op: Option<RefineOperator>,
     /// Lazily-computed full-f64 factorization, used only when a
     /// [`Precision::Mixed`] solve's refinement stalls on the promoted
     /// f32 factor. Reset by [`Factor::refactor`].
@@ -119,14 +125,15 @@ const _: () = {
 };
 
 impl Clone for Factor {
-    /// Clones the system, plan, and factorization; the clone starts
-    /// with a cold scratch pool of its own.
+    /// Clones the system, plan, factorization and prepared refinement
+    /// operator; the clone starts with a cold scratch pool of its own.
     fn clone(&self) -> Self {
         Factor {
             t: self.t.clone(),
             plan: self.plan.clone(),
             factorization: self.factorization.clone(),
             refine: self.refine.clone(),
+            refine_op: self.refine_op.clone(),
             fallback: OnceLock::new(),
             pool: WorkspacePool::new(),
         }
@@ -151,6 +158,7 @@ impl Factor {
         let factorization = plan.execute(t, &mut PlanWorkspace::new())?;
         Ok(Factor {
             t: t.clone(),
+            refine_op: prepare_refinement(t, &plan, &factorization),
             plan,
             factorization,
             refine,
@@ -166,6 +174,10 @@ impl Factor {
     /// refactor against one workspace on, the whole cycle performs
     /// zero heap allocations (observable via
     /// [`PlanWorkspace::allocations`]).
+    ///
+    /// A factor whose solves refine also prepares its refinement
+    /// operator again (`‖T‖∞` and the FFT symbols), which allocates
+    /// outside the workspace.
     ///
     /// On error the factor is left unchanged (still holding the
     /// previous system's factorization).
@@ -186,6 +198,7 @@ impl Factor {
         }
         let _span = bs_probe::span!("refactor", n = t.order(), m = t.block_size());
         let new_f = self.plan.execute(t, pw)?;
+        self.refine_op = prepare_refinement(t, &self.plan, &new_f);
         self.fallback.take();
         pw.recycle(std::mem::replace(&mut self.factorization, new_f));
         self.t.clone_data_from(t);
@@ -295,6 +308,10 @@ impl Factor {
 
     /// Solve `T x = b`. On the perturbed path the answer is refined to
     /// working accuracy (typically two extra matvec+solve rounds, §8.1).
+    /// When the corrections stop shrinking while the residual is still
+    /// above its backward-stable floor, the answer is refused with
+    /// [`Error::RefinementStagnated`] instead; an answer that merely
+    /// ran out of iterations is returned.
     ///
     /// Under [`Precision::Mixed`] the promoted f32 factor plays the
     /// role of the perturbed factorization `Rᵀ D R` of `T + δT` (here
@@ -342,50 +359,36 @@ impl Factor {
     }
 
     fn dispatch_col_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        match &self.factorization {
-            Factorization::Spd(f) => {
+        match (&self.factorization, &self.refine_op) {
+            (Factorization::Spd(f), _) => {
                 x.copy_from_slice(b);
                 solve_rtdr_in_place(&f.r, None, x)
             }
-            Factorization::Indefinite(f) => match self.plan.precision() {
-                Precision::Mixed => {
-                    let res = solve_refined(&self.t, f, b, &self.refine)?;
-                    if res.converged {
-                        x.copy_from_slice(&res.x);
-                        Ok(())
-                    } else {
-                        bs_probe::metrics::incr(bs_probe::metrics::Counter::MixedStallFallbacks);
-                        bs_probe::event!(
-                            "mixed_stall_fallback",
-                            n = b.len(),
-                            iterations = res.iterations,
-                        );
-                        self.solve_via_fallback_into(b, x)
-                    }
+            (Factorization::Indefinite(f), None) => {
+                x.copy_from_slice(b);
+                solve_rtdr_in_place(&f.r, Some(&f.d), x)
+            }
+            (Factorization::Indefinite(f), Some(op)) => {
+                let res = solve_refined(&self.t, op, f, b, &self.refine)?;
+                if !res.converged && self.plan.precision() == Precision::Mixed {
+                    bs_probe::metrics::incr(bs_probe::metrics::Counter::MixedStallFallbacks);
+                    bs_probe::event!(
+                        "mixed_stall_fallback",
+                        n = b.len(),
+                        iterations = res.iterations,
+                    );
+                    self.solve_via_fallback_into(op, b, x)
+                } else {
+                    accept_refined(op, &res, b, x)
                 }
-                // F32 is a deliberate accuracy/throughput trade: the
-                // promoted factor answers directly unless a δ
-                // perturbation fired (then refinement is load-bearing,
-                // exactly as at f64).
-                Precision::F64 | Precision::F32 => self.solve_indef_into(f, b, x),
-            },
-        }
-    }
-
-    fn solve_indef_into(&self, f: &IndefFactor, b: &[f64], x: &mut [f64]) -> Result<()> {
-        if f.perturbations.is_empty() {
-            x.copy_from_slice(b);
-            solve_rtdr_in_place(&f.r, Some(&f.d), x)
-        } else {
-            let res = solve_refined(&self.t, f, b, &self.refine)?;
-            x.copy_from_slice(&res.x);
-            Ok(())
+            }
         }
     }
 
     /// Solve through the lazily-computed full-f64 factorization
-    /// (mixed-precision stall recovery).
-    fn solve_via_fallback_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+    /// (mixed-precision stall recovery), refining against the same
+    /// prepared operator when it is perturbed.
+    fn solve_via_fallback_into(&self, op: &RefineOperator, b: &[f64], x: &mut [f64]) -> Result<()> {
         let f = match self.fallback.get() {
             Some(f) => f,
             None => {
@@ -400,7 +403,14 @@ impl Factor {
                 x.copy_from_slice(b);
                 solve_rtdr_in_place(&f.r, None, x)
             }
-            Factorization::Indefinite(f) => self.solve_indef_into(f, b, x),
+            Factorization::Indefinite(f) if f.perturbations.is_empty() => {
+                x.copy_from_slice(b);
+                solve_rtdr_in_place(&f.r, Some(&f.d), x)
+            }
+            Factorization::Indefinite(f) => {
+                let res = solve_refined(&self.t, op, f, b, &self.refine)?;
+                accept_refined(op, &res, b, x)
+            }
         }
     }
 
@@ -495,6 +505,38 @@ impl Factor {
         let u = self.solve(&e0).ok()?;
         bs_toeplitz::ToeplitzInverse::from_first_column(&u)
     }
+}
+
+/// The prepared refinement operator for a factor whose solves refine:
+/// an indefinite factorization under [`Precision::Mixed`] (the
+/// promoted f32 factor is the perturbed one) or one a δ perturbation
+/// fired in. An unperturbed [`Precision::F32`] factor answers directly:
+/// that precision is a deliberate accuracy/throughput trade.
+fn prepare_refinement(
+    t: &SymBlockToeplitz,
+    plan: &FactorPlan,
+    factorization: &Factorization,
+) -> Option<RefineOperator> {
+    let refines = match factorization {
+        Factorization::Spd(_) => false,
+        Factorization::Indefinite(f) => {
+            plan.precision() == Precision::Mixed || !f.perturbations.is_empty()
+        }
+    };
+    refines.then(|| RefineOperator::new(t))
+}
+
+/// Write a refined answer into `x`, or refuse it when refinement
+/// stagnated above the residual floor (§8.1 with `γ` too large).
+fn accept_refined(op: &RefineOperator, res: &RefineResult, b: &[f64], x: &mut [f64]) -> Result<()> {
+    if res.stagnated() {
+        return Err(Error::RefinementStagnated {
+            iterations: res.iterations,
+            backward_error: op.backward_error(res, b),
+        });
+    }
+    x.copy_from_slice(&res.x);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -787,6 +829,126 @@ mod tests {
             "warm refactor+solve cycles must not allocate from the pool"
         );
         assert!(pw.high_water_elems() > 0);
+    }
+
+    /// `‖b − T x‖₂ / (‖T‖∞ ‖x‖₂ + ‖b‖₂)` with the direct product.
+    fn backward_error(t: &SymBlockToeplitz, x: &[f64], b: &[f64]) -> f64 {
+        use bs_matrix::norms::vec_two;
+        vec_two(&t.residual(x, b)) / (t.norm_inf() * vec_two(x) + vec_two(b))
+    }
+
+    fn mixed(t: &SymBlockToeplitz) -> Factor {
+        let req = crate::PlanRequest {
+            precision: Precision::Mixed,
+            ..Default::default()
+        };
+        let plan = FactorPlan::new(t, &req).unwrap();
+        Factor::from_plan(t, plan, RefineOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn only_refining_factors_prepare_an_operator() {
+        let spd = Factor::new(&workloads::random_spd_block(2, 8, 1)).unwrap();
+        assert!(spd.refine_op.is_none());
+        let unperturbed = Factor::new(&workloads::random_indefinite_scalar(14, 3)).unwrap();
+        assert!(
+            matches!(unperturbed.factorization(), Factorization::Indefinite(f) if f.perturbations.is_empty())
+        );
+        assert!(unperturbed.refine_op.is_none());
+        let perturbed = Factor::new(&workloads::singular_minor_scalar(64, 5)).unwrap();
+        assert!(perturbed
+            .refine_op
+            .as_ref()
+            .is_some_and(RefineOperator::uses_fft));
+        let m = mixed(&workloads::spd_ar1_block(8, 64, 0.9, 1));
+        assert!(m.refine_op.as_ref().is_some_and(RefineOperator::uses_fft));
+    }
+
+    #[test]
+    fn mixed_refactor_prepares_the_new_operator() {
+        use bs_probe::metrics::{self, Counter};
+        let t1 = workloads::spd_ar1_block(8, 64, 0.9, 1);
+        // Same shape, every entry 0.1% larger: refining against a stale
+        // `t1` would converge to 1.001·x at backward error ~5e-4.
+        let t2 = SymBlockToeplitz::new(
+            t1.first_block_row()
+                .iter()
+                .map(|g| {
+                    let mut g = g.clone();
+                    g.scale(1.001);
+                    g
+                })
+                .collect(),
+        );
+        let mut f = mixed(&t1);
+        f.refactor(&t2, &mut PlanWorkspace::new()).unwrap();
+        let fallbacks = metrics::local_get(Counter::MixedStallFallbacks);
+        for j in 0..3 {
+            let b: Vec<f64> = (0..t2.order())
+                .map(|i| ((i * 7 + j * 13) % 11) as f64 - 5.0)
+                .collect();
+            let x = f.solve(&b).unwrap();
+            let be = backward_error(&t2, &x, &b);
+            assert!(be <= 1e-12, "rhs {j}: backward error {be:e}");
+        }
+        assert_eq!(
+            metrics::local_get(Counter::MixedStallFallbacks),
+            fallbacks,
+            "the refined answers must not come from the f64 fallback"
+        );
+    }
+
+    #[test]
+    fn clones_solve_bitwise_equal() {
+        for f in [
+            mixed(&workloads::spd_ar1_block(8, 64, 0.9, 2)),
+            Factor::new(&workloads::singular_minor_scalar(96, 12)).unwrap(),
+        ] {
+            let (b, _) = workloads::rhs_for_ones(f.operator());
+            let g = f.clone();
+            assert_eq!(g.solve(&b).unwrap(), f.solve(&b).unwrap());
+        }
+    }
+
+    #[test]
+    fn stagnated_refinement_is_refused() {
+        // The perturbed factorization is too far from T here: the
+        // corrections stop shrinking after two rounds, far above the
+        // residual floor.
+        let t = workloads::singular_minor_scalar(64, 151);
+        let (b, _) = workloads::rhs_for_ones(&t);
+        match Factor::new(&t).unwrap().solve(&b) {
+            Err(Error::RefinementStagnated {
+                iterations,
+                backward_error,
+            }) => {
+                assert_eq!(iterations, 2);
+                assert!(
+                    backward_error > 1e-10 && backward_error < 1e-7,
+                    "{backward_error:e}"
+                );
+            }
+            other => panic!("expected a stagnation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refinement_out_of_iterations_still_answers() {
+        // Corrections keep shrinking but never reach the tolerance
+        // within `max_iter`; the answer is at working accuracy.
+        let t = workloads::singular_minor_scalar(256, 96);
+        let (b, _) = workloads::rhs_for_ones(&t);
+        let f = Factor::new(&t).unwrap();
+        let Factorization::Indefinite(indef) = f.factorization() else {
+            panic!("expected the perturbed factorization");
+        };
+        let opts = RefineOptions::default();
+        let op = RefineOperator::new(&t);
+        let res = solve_refined(&t, &op, indef, &b, &opts).unwrap();
+        assert!(!res.converged && !res.stagnated());
+        assert_eq!(res.iterations, opts.max_iter);
+        let x = f.solve(&b).unwrap();
+        assert!(backward_error(&t, &x, &b) <= 1e-12);
     }
 
     #[test]

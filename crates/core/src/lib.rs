@@ -48,7 +48,7 @@ pub use eliminate::{EngineScratch, PivotPolicy};
 pub use factor::{Factor, Factorization};
 pub use indefinite::{factor_indefinite, IndefFactor, IndefOptions, Perturbation};
 pub use plan::{FactorPlan, PlanRequest, PlanWorkspace, Precision};
-pub use refine::{solve_refined, RefineOptions, RefineResult};
+pub use refine::{solve_refined, RefineOperator, RefineOptions, RefineResult};
 pub use rep::RepKind;
 pub use schur::{factor_spd, SchurOptions, SpdFactor};
 
@@ -87,6 +87,18 @@ pub enum Error {
         expected: usize,
         found: usize,
     },
+    /// Iterative refinement (§8.1) stopped because its corrections
+    /// stopped shrinking while the residual was still above the
+    /// backward-stable floor: the perturbed factorization is too far
+    /// from `T` for refinement to reach working accuracy, so the answer
+    /// is refused rather than returned uncertified.
+    RefinementStagnated {
+        /// Refinement rounds run before the stall.
+        iterations: usize,
+        /// Normwise backward error `‖b − Tx‖₂ / (‖T‖∞‖x‖₂ + ‖b‖₂)` of
+        /// the last iterate.
+        backward_error: f64,
+    },
 }
 
 impl From<bs_matrix::Error> for Error {
@@ -117,6 +129,13 @@ impl std::fmt::Display for Error {
                 expected,
                 found,
             } => write!(f, "dimension mismatch: {context} expected {expected}, found {found}"),
+            Error::RefinementStagnated {
+                iterations,
+                backward_error,
+            } => write!(
+                f,
+                "iterative refinement stagnated after {iterations} rounds at backward error {backward_error:e}"
+            ),
         }
     }
 }

@@ -273,33 +273,44 @@ impl<T: Scalar> SymBlockToeplitz<T> {
     }
 
     /// ∞-norm of the full matrix, computed from the block row in
-    /// O(m²·p) without forming `T` (rows of the full matrix are
-    /// permutations of block-row absolute sums).
+    /// O(m²·p) without forming `T`.
+    ///
+    /// Row `r` of block row `i` holds row `r` of `Γ(d)` for the lags
+    /// `d = 0..p−i` on and right of the diagonal, and column `r` of
+    /// `Γ(d)` (a row of `Γ(d)ᵀ`) for `d = 1..=i` left of it. So its
+    /// absolute sum is a prefix sum of per-lag row sums plus a prefix
+    /// sum of per-lag column sums.
     pub fn norm_inf(&self) -> f64 {
         let (m, p) = (self.m, self.p);
-        let mut best: f64 = 0.0;
-        // Row block i of T consists of blocks T̂_{i-j+1}ᵀ (j<i), then
-        // T̂_1 ... T̂_{p-i}. Compute each block-row's row sums.
-        for bi in 0..p {
-            let mut sums = vec![0.0f64; m];
-            for bj in 0..p {
-                if bj >= bi {
-                    let blk = &self.blocks[bj - bi];
-                    for r in 0..m {
-                        for c in 0..m {
-                            sums[r] += blk[(r, c)].abs().to_f64();
-                        }
-                    }
-                } else {
-                    let blk = &self.blocks[bi - bj];
-                    for r in 0..m {
-                        for c in 0..m {
-                            sums[r] += blk[(c, r)].abs().to_f64();
-                        }
-                    }
+        // right[k·m + r] = Σ_{d<k} Σ_c |Γ(d)[r, c]|.
+        let mut right = vec![0.0f64; (p + 1) * m];
+        for (d, g) in self.blocks.iter().enumerate() {
+            let (done, next) = right.split_at_mut((d + 1) * m);
+            let next = &mut next[..m];
+            next.copy_from_slice(&done[d * m..]);
+            for c in 0..m {
+                for (acc, v) in next.iter_mut().zip(g.col(c)) {
+                    *acc += v.abs().to_f64();
                 }
             }
-            best = best.max(sums.iter().fold(0.0f64, |a, &b| a.max(b)));
+        }
+        // left[r] = Σ_{1≤d≤i} Σ_c |Γ(d)[c, r]|, grown with the block row.
+        let mut left = vec![0.0f64; m];
+        let mut best: f64 = 0.0;
+        for i in 0..p {
+            if i > 0 {
+                for (r, acc) in left.iter_mut().enumerate() {
+                    *acc += self.blocks[i]
+                        .col(r)
+                        .iter()
+                        .map(|v| v.abs().to_f64())
+                        .sum::<f64>();
+                }
+            }
+            let right = &right[(p - i) * m..(p - i + 1) * m];
+            for (a, b) in right.iter().zip(&left) {
+                best = best.max(a + b);
+            }
         }
         best
     }
@@ -445,9 +456,19 @@ mod tests {
 
     #[test]
     fn norm_inf_matches_dense() {
-        let t = sample(3, 5);
-        let want = bs_matrix::norms::mat_inf(&t.to_dense());
-        assert!((t.norm_inf() - want).abs() < 1e-12);
+        // `sample` draws non-symmetric off-diagonal blocks, so row and
+        // column sums of every lag differ.
+        for m in [1usize, 3, 8] {
+            for p in [1usize, 2, 5, 7] {
+                let t = sample(m, p);
+                let want = bs_matrix::norms::mat_inf(&t.to_dense());
+                let got = t.norm_inf();
+                assert!(
+                    (got - want).abs() <= 1e-13 * want,
+                    "m={m} p={p}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

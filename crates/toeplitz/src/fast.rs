@@ -13,7 +13,7 @@
 //! pointwise multiplies: `O(m² p log p + m² p)` versus `O(m² p²)`.
 
 use crate::block_toeplitz::SymBlockToeplitz;
-use crate::fft::{fft, ifft, next_pow2, Circulant};
+use crate::fft::{next_pow2, Circulant, Fft};
 
 /// Precomputed fast multiplier for a symmetric block Toeplitz matrix.
 ///
@@ -31,7 +31,8 @@ use crate::fft::{fft, ifft, next_pow2, Circulant};
 pub struct FastToeplitzMatVec {
     m: usize,
     p: usize,
-    len: usize,
+    /// Transforms of the embedding length `L`.
+    fft: Fft,
     /// `symbols[a * m + b]`: circulant symbol of component `(a, b)`.
     symbols: Vec<Circulant>,
 }
@@ -42,6 +43,7 @@ impl FastToeplitzMatVec {
         let m = t.block_size();
         let p = t.num_blocks();
         let len = next_pow2((2 * p).saturating_sub(1)).max(1);
+        let fft = Fft::new(len);
         let blocks = t.first_block_row();
         let mut symbols = Vec::with_capacity(m * m);
         let mut col = vec![0.0f64; len];
@@ -56,10 +58,30 @@ impl FastToeplitzMatVec {
                     col[k] = blocks[k][(b, a)];
                     col[len - k] = blocks[k][(a, b)];
                 }
-                symbols.push(Circulant::new(&col));
+                symbols.push(Circulant::new(&col, &fft));
             }
         }
-        FastToeplitzMatVec { m, p, len, symbols }
+        FastToeplitzMatVec { m, p, fft, symbols }
+    }
+
+    /// Whether the circulant-embedding product beats the direct
+    /// [`SymBlockToeplitz::matvec`] on an operator with `p` block rows,
+    /// with the symbols already built: from `p = 10` on.
+    ///
+    /// This is the measured crossover (EXPERIMENTS.md, "Residual
+    /// crossover"), the same for every block size from 1 to 32: both
+    /// products do `O(m²)` work per block pair, the direct one in
+    /// `2p − 1` small GEMMs over `p²` block pairs, the FFT one in
+    /// pointwise products over the embedding length `L ≈ 2p`. The FFT
+    /// product is faster at every `p ≥ 10` for every `m`. Below that it
+    /// is slower for `m ≥ 4` at `p ≤ 6` and, up to `m = 16`, at `p = 9`
+    /// (where `L` doubles to 32); at `p = 7` and `8` it wins by
+    /// 1.05–1.6× on residuals of at most ~60 µs, which the one
+    /// threshold leaves to the direct product. Counting flops instead
+    /// would keep the direct product for scalar operators up to
+    /// `p = 64`, where it is measured ~10× slower.
+    pub fn pays_off(p: usize) -> bool {
+        p >= 10
     }
 
     /// Matrix order `n = m·p`.
@@ -69,16 +91,21 @@ impl FastToeplitzMatVec {
 
     /// `y = T·x` in O(m² p log p).
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let (m, p, len) = (self.m, self.p, self.len);
+        let (m, p, len) = (self.m, self.p, self.fft.len());
         assert_eq!(x.len(), m * p);
-        // Forward-transform the m component vectors of x.
-        let mut xr = vec![vec![0.0f64; len]; m];
-        let mut xi = vec![vec![0.0f64; len]; m];
-        for b in 0..m {
+        // Forward-transform the m component vectors of x, stored one
+        // after another.
+        let mut xr = vec![0.0f64; m * len];
+        let mut xi = vec![0.0f64; m * len];
+        for (b, (xr, xi)) in xr
+            .chunks_exact_mut(len)
+            .zip(xi.chunks_exact_mut(len))
+            .enumerate()
+        {
             for j in 0..p {
-                xr[b][j] = x[j * m + b];
+                xr[j] = x[j * m + b];
             }
-            fft(&mut xr[b], &mut xi[b]);
+            self.fft.forward(xr, xi);
         }
         // Accumulate each output component in the frequency domain.
         let mut y = vec![0.0f64; m * p];
@@ -87,10 +114,10 @@ impl FastToeplitzMatVec {
         for a in 0..m {
             ar.fill(0.0);
             ai.fill(0.0);
-            for b in 0..m {
-                self.symbols[a * m + b].mul_accumulate(&xr[b], &xi[b], &mut ar, &mut ai);
+            for (b, (xr, xi)) in xr.chunks_exact(len).zip(xi.chunks_exact(len)).enumerate() {
+                self.symbols[a * m + b].mul_accumulate(xr, xi, &mut ar, &mut ai);
             }
-            ifft(&mut ar, &mut ai);
+            self.fft.inverse(&mut ar, &mut ai);
             for i in 0..p {
                 y[i * m + a] = ar[i];
             }
@@ -161,6 +188,55 @@ mod tests {
         let r_dir = t.residual(&x, &b);
         for i in 0..n {
             assert!((r_fast[i] - r_dir[i]).abs() < 1e-11);
+        }
+    }
+
+    #[test]
+    fn pays_off_matches_the_measured_crossover() {
+        for p in [1usize, 6, 8, 9] {
+            assert!(!FastToeplitzMatVec::pays_off(p), "p={p}");
+        }
+        for p in [10usize, 12, 16, 64, 128, 256, 512, 1024] {
+            assert!(FastToeplitzMatVec::pays_off(p), "p={p}");
+        }
+    }
+
+    /// Largest error of the FFT product of a scalar operator of order
+    /// `n` over 64 sampled rows, against compensated direct sums and
+    /// relative to the largest `Σ_j |t_ij x_j|` among them.
+    fn sampled_fft_error(n: usize) -> f64 {
+        let mut rng = crate::rng::Rng::seed_from_u64(n as u64);
+        let row: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+        let x: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+        let t = SymBlockToeplitz::from_scalar_row(&row);
+        let y = FastToeplitzMatVec::new(&t).apply(&x);
+        let (mut err, mut scale) = (0.0f64, 0.0f64);
+        for s in 0..64 {
+            let i = s * (n - 1) / 63;
+            // Neumaier summation of Σ_j t_|i−j| x_j.
+            let (mut sum, mut comp, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+            for (j, &xj) in x.iter().enumerate() {
+                let v = row[i.abs_diff(j)] * xj;
+                let next = sum + v;
+                comp += if sum.abs() >= v.abs() {
+                    (sum - next) + v
+                } else {
+                    (v - next) + sum
+                };
+                sum = next;
+                abs += v.abs();
+            }
+            err = err.max((y[i] - (sum + comp)).abs());
+            scale = scale.max(abs);
+        }
+        err / scale
+    }
+
+    #[test]
+    fn fft_product_error_stays_at_roundoff() {
+        for log2 in [10u32, 14, 17, 20] {
+            let e = sampled_fft_error(1 << log2);
+            assert!(e <= 1e-15, "n = 2^{log2}: relative error {e:e}");
         }
     }
 

@@ -20,14 +20,15 @@
 //! Levinson, …); this module only needs the vector, keeping the crate
 //! graph acyclic.
 
-use crate::fft::{fft, ifft, next_pow2};
+use crate::fft::{next_pow2, Fft};
 
 /// Fast `T⁻¹·x` operator built from the first column of the inverse.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct ToeplitzInverse {
     n: usize,
-    len: usize,
+    /// Transforms of the embedding length.
+    fft: Fft,
     inv_u0: f64,
     /// FFT of the circulant embedding of `L(u)` (first column u, padded).
     lu_re: Vec<f64>,
@@ -42,22 +43,23 @@ pub struct ToeplitzInverse {
     lzt_im: Vec<f64>,
 }
 
-fn embed_lower(v: &[f64], len: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut re = vec![0.0; len];
+fn embed_lower(v: &[f64], fft: &Fft) -> (Vec<f64>, Vec<f64>) {
+    let mut re = vec![0.0; fft.len()];
     re[..v.len()].copy_from_slice(v);
-    let mut im = vec![0.0; len];
-    fft(&mut re, &mut im);
+    let mut im = vec![0.0; fft.len()];
+    fft.forward(&mut re, &mut im);
     (re, im)
 }
 
-fn embed_lower_transpose(v: &[f64], len: usize) -> (Vec<f64>, Vec<f64>) {
+fn embed_lower_transpose(v: &[f64], fft: &Fft) -> (Vec<f64>, Vec<f64>) {
+    let len = fft.len();
     let mut re = vec![0.0; len];
     re[0] = v[0];
     for (k, &vk) in v.iter().enumerate().skip(1) {
         re[len - k] = vk;
     }
     let mut im = vec![0.0; len];
-    fft(&mut re, &mut im);
+    fft.forward(&mut re, &mut im);
     (re, im)
 }
 
@@ -71,19 +73,19 @@ impl ToeplitzInverse {
         if u[0] == 0.0 || !u[0].is_finite() {
             return None;
         }
-        let len = next_pow2(2 * n.max(1));
+        let fft = Fft::new(next_pow2(2 * n.max(1)));
         // z = (0, u_{n−1}, …, u₁).
         let mut z = vec![0.0; n];
         for k in 1..n {
             z[k] = u[n - k];
         }
-        let (lu_re, lu_im) = embed_lower(u, len);
-        let (lut_re, lut_im) = embed_lower_transpose(u, len);
-        let (lz_re, lz_im) = embed_lower(&z, len);
-        let (lzt_re, lzt_im) = embed_lower_transpose(&z, len);
+        let (lu_re, lu_im) = embed_lower(u, &fft);
+        let (lut_re, lut_im) = embed_lower_transpose(u, &fft);
+        let (lz_re, lz_im) = embed_lower(&z, &fft);
+        let (lzt_re, lzt_im) = embed_lower_transpose(&z, &fft);
         Some(ToeplitzInverse {
             n,
-            len,
+            fft,
             inv_u0: 1.0 / u[0],
             lu_re,
             lu_im,
@@ -104,18 +106,18 @@ impl ToeplitzInverse {
     /// One circulant product: `y = C x` with `C` given in the frequency
     /// domain; input/output truncated to `n`.
     fn circ_apply(&self, sym_re: &[f64], sym_im: &[f64], x: &[f64]) -> Vec<f64> {
-        let len = self.len;
+        let len = self.fft.len();
         let mut re = vec![0.0; len];
         re[..x.len()].copy_from_slice(x);
         let mut im = vec![0.0; len];
-        fft(&mut re, &mut im);
+        self.fft.forward(&mut re, &mut im);
         for i in 0..len {
             let (a, b) = (re[i], im[i]);
             re[i] = sym_re[i] * a - sym_im[i] * b;
             im[i] = sym_re[i] * b + sym_im[i] * a;
         }
         bs_matrix::flops::add(6 * len as u64);
-        ifft(&mut re, &mut im);
+        self.fft.inverse(&mut re, &mut im);
         re.truncate(self.n);
         re
     }

@@ -34,7 +34,14 @@ fn solve_and_report(t: &SymBlockToeplitz, label: &str) {
     println!("direct solve error: {e1:.3e}");
 
     // Refinement pushes it to machine precision in ~2 steps.
-    let res = solve_refined(t, &f, &b, &RefineOptions::default()).unwrap();
+    let res = solve_refined(
+        t,
+        &RefineOperator::new(t),
+        &f,
+        &b,
+        &RefineOptions::default(),
+    )
+    .unwrap();
     let e2 = res
         .x
         .iter()

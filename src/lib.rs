@@ -47,7 +47,7 @@ pub mod prelude {
     pub use bs_core::{
         factor_indefinite, factor_spd, solve_refined, Factor, FactorPlan, Factorization,
         IndefFactor, IndefOptions, Perturbation, PlanRequest, PlanWorkspace, Precision,
-        RefineOptions, RefineResult, RepKind, SchurOptions, SpdFactor,
+        RefineOperator, RefineOptions, RefineResult, RepKind, SchurOptions, SpdFactor,
     };
     pub use bs_matrix::{ExecPolicy, Matrix, Partition, Signature};
     pub use bs_toeplitz::{build_generator, workloads, Generator, SymBlockToeplitz};

@@ -71,7 +71,14 @@ fn breakdown_happens_exactly_on_non_spd_inputs() {
 
     let x_lu = dense_lu_solve(&t, &b).unwrap();
     let f = factor_indefinite(&t, &IndefOptions::default()).unwrap();
-    let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+    let res = solve_refined(
+        &t,
+        &RefineOperator::new(&t),
+        &f,
+        &b,
+        &RefineOptions::default(),
+    )
+    .unwrap();
     assert!(max_err(&res.x, &x_lu) < 1e-8);
     assert!(max_err(&res.x, &x_true) < 1e-8);
 }

@@ -23,7 +23,14 @@ fn refinement_matches_dense_lu_on_many_singular_minor_systems() {
             Err(_) => continue, // matrix itself singular: skip
         };
         let f = factor_indefinite(&t, &IndefOptions::default()).unwrap();
-        let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+        let res = solve_refined(
+            &t,
+            &RefineOperator::new(&t),
+            &f,
+            &b,
+            &RefineOptions::default(),
+        )
+        .unwrap();
         assert!(res.converged, "seed {seed}");
         assert!(
             max_err(&res.x, &x_lu) < 1e-9,
@@ -39,7 +46,14 @@ fn indefinite_block_systems_solve() {
         let t = workloads::random_indefinite_block(2, 8, 700 + seed);
         let (b, x_true) = workloads::rhs_for_ones(&t);
         let f = factor_indefinite(&t, &IndefOptions::default()).unwrap();
-        let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+        let res = solve_refined(
+            &t,
+            &RefineOperator::new(&t),
+            &f,
+            &b,
+            &RefineOptions::default(),
+        )
+        .unwrap();
         assert!(
             max_err(&res.x, &x_true) < 1e-9,
             "seed {seed}: {:e}",
@@ -113,7 +127,14 @@ fn delta_tradeoff_larger_delta_needs_more_refinement() {
             },
         )
         .unwrap();
-        let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+        let res = solve_refined(
+            &t,
+            &RefineOperator::new(&t),
+            &f,
+            &b,
+            &RefineOptions::default(),
+        )
+        .unwrap();
         assert!(
             max_err(&res.x, &x_true) < 1e-10,
             "delta={delta:e}: {:e}",
@@ -136,7 +157,14 @@ fn pcg_and_refinement_agree() {
     let t = workloads::singular_minor_scalar(64, 77);
     let (b, _) = workloads::rhs_for_ones(&t);
     let f = factor_indefinite(&t, &IndefOptions::default()).unwrap();
-    let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+    let res = solve_refined(
+        &t,
+        &RefineOperator::new(&t),
+        &f,
+        &b,
+        &RefineOptions::default(),
+    )
+    .unwrap();
     let cg = block_schur::baselines::pcg(|v| t.matvec(v), |r| f.solve(r).unwrap(), &b, 1e-13, 50);
     assert!(cg.converged);
     assert!(max_err(&res.x, &cg.x) < 1e-9);

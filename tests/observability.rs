@@ -27,7 +27,14 @@ fn residual_history_is_monotone_on_paper_example() {
     let (b, _) = workloads::rhs_for_ones(&t);
 
     bs_probe::stability::enable(0.0);
-    let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+    let res = solve_refined(
+        &t,
+        &RefineOperator::new(&t),
+        &f,
+        &b,
+        &RefineOptions::default(),
+    )
+    .unwrap();
     bs_probe::stability::disable();
     let report = bs_probe::stability::take_report();
 

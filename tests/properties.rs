@@ -194,7 +194,14 @@ fn refinement_solves_singular_minor_systems() {
             Ok(f) => f,
             Err(_) => continue,
         };
-        let res = solve_refined(&t, &f, &b, &RefineOptions::default()).unwrap();
+        let res = solve_refined(
+            &t,
+            &RefineOperator::new(&t),
+            &f,
+            &b,
+            &RefineOptions::default(),
+        )
+        .unwrap();
         let err = res
             .x
             .iter()
