@@ -11,8 +11,7 @@ use bs_core::{
     factor_indefinite, factor_spd, solve_refined, IndefOptions, RefineOperator, RefineOptions,
     RepKind, SchurOptions,
 };
-use bs_simulator::dist_exec::factor_distributed;
-use bs_simulator::Scheme;
+use bs_simulator::{factor_sharded, Clock, Scheme, ShardOptions};
 use bs_toeplitz::workloads;
 use std::sync::Arc;
 
@@ -122,8 +121,11 @@ fn main() {
                 Scheme::V3 { spread } => spread * 2,
                 _ => 3,
             };
-            let d =
-                factor_distributed(&t, np, scheme, RepKind::VY2, Arc::new(bs_distmem::ZeroCost));
+            let opts = ShardOptions {
+                clock: Clock::Model(Arc::new(bs_distmem::ZeroCost)),
+                ..ShardOptions::new(scheme, np)
+            };
+            let d = factor_sharded(&t, &opts);
             worst_dist = worst_dist.max(d.r.max_abs_diff(&seq.r));
             dist_runs += 1;
         }

@@ -550,13 +550,8 @@ impl<T: Scalar> BlockReflector<T> {
     /// the logical "shift" is realized by pairing upper block column
     /// `j − s` with lower block column `j`). Requires the SPD working
     /// signature `W = diag(I_m, −I_m)` — the quadrant split exploits
-    /// `Wᵏ = diag(I, (−1)ᵏ I)`.
-    pub fn apply_split(&self, gu: MatMut<'_, T>, gl: MatMut<'_, T>, exec: &ExecPolicy) {
-        self.apply_split_impl(gu, gl, exec, None);
-    }
-
-    /// [`apply_split`](Self::apply_split) with all temporaries checked
-    /// out of `ws` — the warm plan/execute trailing-update path.
+    /// `Wᵏ = diag(I, (−1)ᵏ I)`. All temporaries are checked out of `ws`
+    /// (the warm plan/execute trailing-update path).
     pub fn apply_split_ws(
         &self,
         gu: MatMut<'_, T>,
@@ -1026,8 +1021,9 @@ mod tests {
             }
             let gu0 = Matrix::from_fn(m, 13, |i, j| ((i * 5 + j * 11) % 13) as f64 - 6.0);
             let gl0 = Matrix::from_fn(m, 13, |i, j| ((i * 3 + j * 7) % 17) as f64 - 8.0);
+            let mut ws = Workspace::new();
             let (mut su, mut sl) = (gu0.clone(), gl0.clone());
-            b.apply_split(su.mt(), sl.mt(), &ExecPolicy::sequential());
+            b.apply_split_ws(su.mt(), sl.mt(), &ExecPolicy::sequential(), &mut ws);
             for threads in [2, 5] {
                 let par = ExecPolicy {
                     threads,
@@ -1035,7 +1031,7 @@ mod tests {
                     partition: bs_matrix::Partition::Width(3),
                 };
                 let (mut pu, mut pl) = (gu0.clone(), gl0.clone());
-                b.apply_split(pu.mt(), pl.mt(), &par);
+                b.apply_split_ws(pu.mt(), pl.mt(), &par, &mut ws);
                 assert_eq!(pu.max_abs_diff(&su), 0.0, "kind={kind} threads={threads}");
                 assert_eq!(pl.max_abs_diff(&sl), 0.0, "kind={kind} threads={threads}");
             }

@@ -1,14 +1,13 @@
 //! The communicator: ranks as threads, channels as links, and two
 //! interchangeable notions of time.
 //!
-//! * **Virtual transport** ([`World::run`]) — the original simulator:
-//!   every rank carries a virtual clock advanced by a [`CostModel`],
-//!   so `time()` reports what a modeled machine (e.g. the T3D) would
-//!   have measured.
-//! * **Wall transport** ([`World::run_wall`]) — the measured executor:
-//!   ranks are dedicated OS threads exchanging owned data through the
-//!   same channels, `compute`/`advance` are no-ops, and `time()`
-//!   reports real elapsed wall-clock seconds since the group launched.
+//! * **Virtual transport** ([`World::run`]) — modeled runs: every rank
+//!   carries a virtual clock advanced by a [`CostModel`], so `time()`
+//!   reports what a modeled machine (e.g. the T3D) would have measured.
+//! * **Wall transport** ([`World::run_wall`]) — measured runs: ranks
+//!   are dedicated OS threads exchanging owned data through the same
+//!   channels, `compute`/`advance` are no-ops, and `time()` reports
+//!   real elapsed wall-clock seconds since the group launched.
 //!
 //! Both transports share one `Proc` API (send/recv/broadcast/barrier/
 //! gather), one poison protocol for rank failure, and one observability
@@ -116,14 +115,14 @@ impl ClockBarrier {
 
 /// How a rank keeps time: a modeled clock or the real one.
 enum Timing {
-    /// Virtual clock advanced by a [`CostModel`] (the simulator).
+    /// Virtual clock advanced by a [`CostModel`] (modeled runs).
     Virtual {
         clock: f64,
         cost: Arc<dyn CostModel>,
     },
-    /// Real elapsed time since the group launched (the measured
-    /// sharded executor). `compute`/`advance` are no-ops: the work
-    /// itself already took the time.
+    /// Real elapsed time since the group launched (measured runs).
+    /// `compute`/`advance` are no-ops: the work itself already took the
+    /// time.
     Wall { start: Instant },
 }
 
@@ -337,9 +336,11 @@ impl Proc {
 
     /// [`broadcast`](Self::broadcast) with an explicit *charged* byte
     /// count. Used when the physically shipped payload differs from the
-    /// volume the machine model should account (e.g. the simulator
-    /// ships a raw pivot panel for determinism but charges the wire
-    /// size of the chosen block-reflector representation).
+    /// volume the machine model should account (e.g. the sharded
+    /// executor ships a raw pivot panel for determinism but charges the
+    /// wire size of the chosen block-reflector representation). The
+    /// virtual transport times and counts `bytes`; the wall transport
+    /// counts the physical payload, since that is what crossed.
     pub fn broadcast_charged(
         &mut self,
         root: usize,
@@ -348,17 +349,17 @@ impl Proc {
         bytes: usize,
     ) -> Vec<f64> {
         if self.rank == root {
-            let arrive = match &mut self.timing {
+            let (arrive, counted) = match &mut self.timing {
                 Timing::Virtual { clock, cost } => {
                     *clock += cost.broadcast_time(bytes, self.np);
-                    *clock
+                    (*clock, bytes)
                 }
-                Timing::Wall { .. } => 0.0,
+                Timing::Wall { .. } => (0.0, data.len() * 8),
             };
             for to in 0..self.np {
                 if to != root {
-                    self.bytes_sent += bytes;
-                    metrics::add(Counter::CommBytes, bytes as u64);
+                    self.bytes_sent += counted;
+                    metrics::add(Counter::CommBytes, counted as u64);
                     metrics::incr(Counter::CommMessages);
                     self.senders[to]
                         .send(Msg {
@@ -794,6 +795,19 @@ mod wall_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn charged_broadcast_counts_charge_on_model_and_payload_on_wall() {
+        let body = |p: &mut Proc| {
+            let data: &[f64] = if p.rank() == 0 { &[1.0; 4] } else { &[] };
+            p.broadcast_charged(0, 1, data, 1 << 20);
+            p.bytes_sent()
+        };
+        let modeled = World::run(3, Arc::new(crate::cost::ZeroCost), body);
+        assert_eq!(modeled, vec![2 << 20, 0, 0]);
+        let wall = World::run_wall(3, WallOpts::default(), body);
+        assert_eq!(wall, vec![2 * 32, 0, 0]);
     }
 
     #[test]

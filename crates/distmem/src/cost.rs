@@ -18,7 +18,7 @@ pub enum Primitive {
 }
 
 /// Machine model: maps work and messages to (virtual) seconds.
-pub trait CostModel: Send + Sync {
+pub trait CostModel: Send + Sync + std::fmt::Debug {
     /// Seconds to execute `flops` floating point operations in the
     /// shape of `prim`.
     fn compute_time(&self, flops: f64, prim: Primitive) -> f64;

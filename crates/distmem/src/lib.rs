@@ -14,8 +14,8 @@
 //! bit-checked against sequential runs) while *time* is tracked either
 //! by a per-rank virtual clock advanced through a pluggable
 //! [`CostModel`] ([`World::run`]) or by the machine's real clock
-//! ([`World::run_wall`], used by the measured sharded executor in
-//! `bs-simulator`).
+//! ([`World::run_wall`]). The sharded executor in `bs-simulator` runs
+//! one rank body on either transport.
 //!
 //! The timing rules are the classical LogP-flavoured ones:
 //!

@@ -10,7 +10,7 @@
 //! a column-major [`Matrix`] type with borrowed views, level-1/2/3
 //! kernels (`dot`, `axpy`, `gemv`, `ger`, `gemm`, `trsm`, `syrk`, ...),
 //! and the dense factorizations the Schur algorithm needs as building
-//! blocks (Cholesky, signature LDLᵀ, LU, Householder QR).
+//! blocks (Cholesky, signature LDLᵀ, LU).
 //!
 //! Design notes:
 //! - Generic over a sealed [`Scalar`] trait (`f64` and `f32` only), with
@@ -39,10 +39,8 @@ pub mod lu;
 pub mod norms;
 pub mod par;
 pub mod pool;
-pub mod qr;
 pub mod scalar;
 pub mod sched;
-pub mod trmm;
 pub mod view;
 pub mod workspace;
 
@@ -54,7 +52,6 @@ pub use lu::LuFactors;
 pub use par::{ExecPolicy, Partition};
 pub use pool::{PooledWorkspace, WorkspacePool};
 pub use scalar::Scalar;
-pub use trmm::{symm, trmm};
 pub use view::{MatMut, MatRef};
 pub use workspace::Workspace;
 

@@ -370,13 +370,6 @@ pub fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
 
-    // Recording state is process-global; serialize the armed tests.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn bucket_index_is_monotone_and_bounded() {
         let mut last = 0usize;
@@ -406,7 +399,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _g = lock();
+        let _g = crate::test_lock();
         disable();
         reset_all();
         record(Hist::SolveNs, 123);
@@ -468,7 +461,7 @@ mod tests {
 
     #[test]
     fn cross_thread_merge_is_deterministic() {
-        let _g = lock();
+        let _g = crate::test_lock();
         reset_all();
         enable();
         std::thread::scope(|s| {

@@ -79,3 +79,13 @@ pub fn reset_all() {
     metrics::reset_all();
     stability::reset();
 }
+
+/// The one lock every unit test that touches the crate's process-global
+/// state (counters, trace ring, histograms, stability monitor) holds,
+/// so a test comparing two reads never sees a sibling's write land in
+/// between.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -298,6 +298,7 @@ mod tests {
 
     #[test]
     fn local_counts_are_per_thread_but_total_aggregates() {
+        let _l = crate::test_lock();
         local_reset(&[Counter::CommWords]);
         add(Counter::CommWords, 5);
         let before_total = total(Counter::CommWords);
@@ -316,6 +317,7 @@ mod tests {
 
     #[test]
     fn totals_survive_thread_exit() {
+        let _l = crate::test_lock();
         let before = total(Counter::CommMessages);
         std::thread::spawn(|| add(Counter::CommMessages, 7))
             .join()
@@ -325,6 +327,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_individual_totals() {
+        let _l = crate::test_lock();
         add(Counter::Matvecs, 3);
         let snap = snapshot_total();
         for c in Counter::ALL {

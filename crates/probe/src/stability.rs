@@ -253,11 +253,9 @@ pub fn take_report() -> StabilityReport {
 mod tests {
     use super::*;
 
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn records_and_flags_growth() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::test_lock();
         enable(10.0);
         set_scale(2.0);
         record_step(0, 0, 1.0, 0.5, 1.5);
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn violations_recorded_even_while_disabled() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::test_lock();
         enable(0.0);
         disable();
         let before = crate::metrics::total(crate::metrics::Counter::ContractViolations);
@@ -297,7 +295,7 @@ mod tests {
 
     #[test]
     fn disabled_monitor_records_nothing() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::test_lock();
         enable(0.0);
         disable();
         record_step(0, 0, 1.0, 1.0, 1.0);
@@ -307,7 +305,7 @@ mod tests {
 
     #[test]
     fn growth_uses_scale_relative_column_norm() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::test_lock();
         enable(0.0);
         set_scale(4.0);
         record_step(0, 0, 20.0, 1.0, 1.0);

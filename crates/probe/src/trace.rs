@@ -363,12 +363,9 @@ macro_rules! event {
 mod tests {
     use super::*;
 
-    // Tracing state is process-global; serialize the tests that toggle it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_records_nothing() {
-        let _l = lock_poison_ok(&TEST_LOCK);
+        let _l = crate::test_lock();
         disable();
         clear();
         record(EventKind::Instant, "ghost", FieldList::empty());
@@ -379,7 +376,7 @@ mod tests {
 
     #[test]
     fn span_macro_brackets_events() {
-        let _l = lock_poison_ok(&TEST_LOCK);
+        let _l = crate::test_lock();
         clear();
         enable();
         {
@@ -416,7 +413,7 @@ mod tests {
 
     #[test]
     fn events_from_spawned_threads_are_collected() {
-        let _l = lock_poison_ok(&TEST_LOCK);
+        let _l = crate::test_lock();
         clear();
         enable();
         std::thread::scope(|s| {
@@ -432,7 +429,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let _l = lock_poison_ok(&TEST_LOCK);
+        let _l = crate::test_lock();
         clear();
         set_capacity(4);
         enable();

@@ -6,25 +6,22 @@
 //! Cray T3D machine model and the distributed block Schur algorithm
 //! under the paper's three data-distribution schemes (§7).
 //!
-//! Three complementary engines:
+//! Two engines:
 //!
-//! - [`analytic`] — a fast closed-loop simulation that walks the Schur
-//!   steps charging the paper's per-phase costs (shift messages, panel
-//!   "blocking flops", representation broadcast, trailing "application
-//!   flops", barrier synchronizations) against a [`T3DModel`]. This is
-//!   what regenerates Figures 6–9: the curves are pure functions of the
-//!   cost model and the exact message/flop counts.
-//! - [`dist_exec`] — the *real thing*: the algorithm executed on the
-//!   [`bs_distmem`] message-passing runtime with actual data movement;
-//!   the resulting factor is bit-compared against the sequential
-//!   `bs-core` factorization and the virtual clocks are charged with
-//!   the same model, validating the analytic engine.
-//! - [`shard`] — the *measured* backend: the same three distributions
-//!   on the `bs-distmem` wall-clock transport, each rank a dedicated
-//!   OS thread owning a packed generator shard, trailing updates
-//!   through the SIMD kernel engine, `wall_s` in real seconds. This is
-//!   what turns the Fig. 6–9 reproduction from simulated into
-//!   measured (see `dist_sweep` in bs-bench).
+//! - [`analytic`] — the fast predictor: a closed-form walk over the
+//!   Schur steps charging the paper's per-phase costs (shift messages,
+//!   panel "blocking flops", representation broadcast, trailing
+//!   "application flops", barrier synchronizations) against a
+//!   [`T3DModel`]. This is what regenerates Figures 6–9: the curves are
+//!   pure functions of the cost model and the exact message/flop counts.
+//! - [`shard`] — the executor: the three distributions run for real on
+//!   the [`bs_distmem`] runtime, each rank a dedicated OS thread owning
+//!   a packed generator shard, with actual data movement and trailing
+//!   updates through the SIMD kernel engine. One run keeps one
+//!   [`Clock`]: the wall clock measures this machine (`dist_sweep` in
+//!   bs-bench), and a cost-model clock charges the same per-phase
+//!   quantities as the analytic engine on the same message schedule,
+//!   which validates the predictor against real execution.
 //!
 //! What the paper ran on hardware we run on a model; the *algorithmic*
 //! quantities (who sends how many bytes to whom at which step, who
@@ -32,7 +29,6 @@
 
 pub mod analytic;
 pub mod calibrated;
-pub mod dist_exec;
 pub mod scheme;
 pub mod shard;
 pub mod t3d;
@@ -42,5 +38,5 @@ pub use calibrated::{
     choose_distribution, measure_comm, CalibratedCost, DistChoice, DistPrediction,
 };
 pub use scheme::Scheme;
-pub use shard::{factor_sharded, ShardOptions, ShardRun};
+pub use shard::{factor_sharded, Clock, ShardOptions, ShardRun};
 pub use t3d::T3DModel;

@@ -5,12 +5,10 @@
 //!
 //! Run: `cargo run --release --example t3d_sweep`
 
-use block_schur::distmem::ZeroCost;
 use block_schur::perfmodel::Rep;
 use block_schur::prelude::*;
 use block_schur::simulator::analytic::{simulate, SimConfig};
-use block_schur::simulator::dist_exec::factor_distributed;
-use block_schur::simulator::{Scheme, T3DModel};
+use block_schur::simulator::{factor_sharded, Clock, Scheme, ShardOptions, T3DModel};
 use std::sync::Arc;
 
 fn best_scheme(n: usize, m: usize, np: usize, model: &T3DModel) -> (Scheme, f64) {
@@ -69,26 +67,26 @@ fn main() {
     println!("\nvalidating the distributed execution against the sequential factorization...");
     let t = workloads::random_spd_block(4, 16, 99);
     let seq = factor_spd(&t, &SchurOptions::default()).expect("sequential");
-    let dist = factor_distributed(&t, 4, Scheme::V1, RepKind::VY2, Arc::new(ZeroCost));
+    let dist = factor_sharded(&t, &ShardOptions::new(Scheme::V1, 4));
     let diff = dist.r.max_abs_diff(&seq.r);
     println!(
         "‖R_dist − R_seq‖_max = {diff:.3e} over {} ranks",
-        dist.times.len()
+        dist.rank_wall_s.len()
     );
     assert!(diff < 1e-10);
 
     // And with the T3D clock: report the simulated factor time.
-    let dist_timed = factor_distributed(
+    let dist_timed = factor_sharded(
         &t,
-        4,
-        Scheme::V1,
-        RepKind::VY2,
-        Arc::new(T3DModel::default()),
+        &ShardOptions {
+            clock: Clock::Model(Arc::new(T3DModel::default())),
+            ..ShardOptions::new(Scheme::V1, 4)
+        },
     );
     println!(
         "simulated factor time on 4 T3D PEs: {:.3} ms ({} bytes on the wire)",
-        dist_timed.max_time * 1e3,
-        dist_timed.bytes_sent.iter().sum::<usize>()
+        dist_timed.wall_s * 1e3,
+        dist_timed.comm_volume()
     );
     println!("ok");
 }

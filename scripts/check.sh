@@ -78,16 +78,27 @@ cargo test -q -p bs-serve
 cargo run -q -p bs-bench --release --bin serve_load -- --quick
 TIERS+=("serve")
 
-echo "==> dist tier: sharded executor smoke (NP=1/2/4) plus scheme cross-validation"
-# The measured sharded backend: integration suite covers shard-vs-
-# sequential residuals at NP in {1,2,4} across V1/V2/V3, bitwise
-# reproducibility, and the distmem failure paths (poisoned barriers,
-# recv-timeout diagnostics); the quick dist_sweep run then measures the
-# real multi-rank wall times and cross-checks every scheme against the
-# sequential factor (perf floors self-waive on starved hosts).
+echo "==> dist tier: sharded executor on both clocks plus scheme cross-validation"
+# The sharded executor: the integration suite covers shard-vs-sequential
+# residuals at NP in {1,2,4} across V1/V2/V3 on the wall clock, the
+# modeled-clock agreement tests (cost-model clock within 5% of the
+# analytic engine for V1/V2, more ranks cut modeled time, YTY charges
+# fewer broadcast bytes than VY), bitwise reproducibility, and the
+# distmem failure paths (poisoned barriers, recv-timeout diagnostics);
+# the quick dist_sweep run then measures the real multi-rank wall times
+# and cross-checks every scheme against the sequential factor (perf
+# floors self-waive on starved hosts).
 cargo test -q --test integration_distributed
 cargo run -q -p bs-bench --release --bin dist_sweep -- --quick
 TIERS+=("dist")
+
+echo "==> benchmark tier: schurbench builds and passes its own tests"
+# schurbench is a separate workspace with path dependencies on crates/*,
+# so no other tier compiles it; an API change it relies on (e.g.
+# ShardOptions for shard_np2) would otherwise first surface as every
+# benchmark workload failing.
+cargo test -q --release --manifest-path schurbench/Cargo.toml
+TIERS+=("schurbench")
 
 echo "==> kernel tier: avx512 feature build (runtime-gated microkernel)"
 cargo test -q -p bs-matrix --features avx512

@@ -1,16 +1,30 @@
-//! Distributed execution (§7) integration tests: the message-passing
-//! implementation must produce the sequential factor under every
-//! distribution scheme, and its virtual clocks must agree with the
-//! analytic simulator.
+//! Distributed execution (§7) integration tests: the sharded executor
+//! must produce the sequential factor under every distribution scheme,
+//! and its modeled clock must agree with the analytic simulator.
 
-use block_schur::distmem::{WallOpts, World, ZeroCost};
+use block_schur::distmem::{CostModel, WallOpts, World, ZeroCost};
 use block_schur::perfmodel::Rep;
 use block_schur::prelude::*;
 use block_schur::simulator::analytic::{simulate, SimConfig};
-use block_schur::simulator::dist_exec::factor_distributed;
-use block_schur::simulator::{factor_sharded, Scheme, ShardOptions, T3DModel};
+use block_schur::simulator::{factor_sharded, Clock, Scheme, ShardOptions, ShardRun, T3DModel};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The sharded executor on a cost-model clock.
+fn modeled(
+    t: &SymBlockToeplitz,
+    np: usize,
+    scheme: Scheme,
+    rep: RepKind,
+    cost: impl CostModel + 'static,
+) -> ShardRun {
+    let opts = ShardOptions {
+        rep,
+        clock: Clock::Model(Arc::new(cost)),
+        ..ShardOptions::new(scheme, np)
+    };
+    factor_sharded(t, &opts)
+}
 
 #[test]
 fn v1_v2_match_sequential_across_sizes() {
@@ -19,7 +33,7 @@ fn v1_v2_match_sequential_across_sizes() {
         let seq = factor_spd(&t, &SchurOptions::default()).unwrap();
         for np in [1usize, 2, 3, 5] {
             for scheme in [Scheme::V1, Scheme::V2 { b: 2 }, Scheme::V2 { b: 4 }] {
-                let d = factor_distributed(&t, np, scheme, RepKind::VY2, Arc::new(ZeroCost));
+                let d = modeled(&t, np, scheme, RepKind::VY2, ZeroCost);
                 assert!(
                     d.r.max_abs_diff(&seq.r) < 1e-9,
                     "m={m} p={p} np={np} {}: {:e}",
@@ -33,12 +47,18 @@ fn v1_v2_match_sequential_across_sizes() {
 
 #[test]
 fn distributed_solve_end_to_end() {
-    let t = workloads::random_spd_block(2, 16, 8);
-    let (b, x_true) = workloads::rhs_for_ones(&t);
-    let d = factor_distributed(&t, 4, Scheme::V2 { b: 2 }, RepKind::YTY, Arc::new(ZeroCost));
-    let x = block_schur::core::solve::solve_rtdr(&d.r, None, &b).unwrap();
-    for i in 0..x.len() {
-        assert!((x[i] - x_true[i]).abs() < 1e-8, "i={i}");
+    for (m, p, seed, np, scheme, rep) in [
+        (2, 16, 8, 4, Scheme::V2 { b: 2 }, RepKind::YTY),
+        (2, 10, 9, 3, Scheme::V1, RepKind::VY2),
+        (4, 12, 21, 8, Scheme::V3 { spread: 4 }, RepKind::YTY),
+    ] {
+        let t = workloads::random_spd_block(m, p, seed);
+        let (b, x_true) = workloads::rhs_for_ones(&t);
+        let d = modeled(&t, np, scheme, rep, ZeroCost);
+        let x = block_schur::core::solve::solve_rtdr(&d.r, None, &b).unwrap();
+        for i in 0..x.len() {
+            assert!((x[i] - x_true[i]).abs() < 1e-8, "{} i={i}", scheme.label());
+        }
     }
 }
 
@@ -49,9 +69,10 @@ fn virtual_times_match_analytic_across_schemes() {
         (2usize, 16usize, 4usize, Scheme::V1),
         (2, 16, 4, Scheme::V2 { b: 2 }),
         (4, 12, 3, Scheme::V1),
+        (4, 12, 4, Scheme::V1),
     ] {
         let t = workloads::random_spd_block(m, p, 55);
-        let d = factor_distributed(&t, np, scheme, RepKind::VY2, Arc::new(model.clone()));
+        let d = modeled(&t, np, scheme, RepKind::VY2, model.clone());
         let sim = simulate(
             &SimConfig {
                 n: m * p,
@@ -62,12 +83,12 @@ fn virtual_times_match_analytic_across_schemes() {
             },
             &model,
         );
-        let rel = (d.max_time - sim.total).abs() / sim.total;
+        let rel = (d.wall_s - sim.total).abs() / sim.total;
         assert!(
             rel < 0.05,
             "{} np={np}: exec {} vs sim {} (rel {rel})",
             scheme.label(),
-            d.max_time,
+            d.wall_s,
             sim.total
         );
     }
@@ -77,14 +98,14 @@ fn virtual_times_match_analytic_across_schemes() {
 fn more_ranks_do_not_change_the_result_but_cut_time() {
     let t = workloads::random_spd_block(4, 16, 3);
     let model = T3DModel::default();
-    let d1 = factor_distributed(&t, 1, Scheme::V1, RepKind::VY2, Arc::new(model.clone()));
-    let d4 = factor_distributed(&t, 4, Scheme::V1, RepKind::VY2, Arc::new(model.clone()));
+    let d1 = modeled(&t, 1, Scheme::V1, RepKind::VY2, model.clone());
+    let d4 = modeled(&t, 4, Scheme::V1, RepKind::VY2, model.clone());
     assert!(d1.r.max_abs_diff(&d4.r) < 1e-9);
     assert!(
-        d4.max_time < d1.max_time,
+        d4.wall_s < d1.wall_s,
         "4 ranks ({}) should beat 1 rank ({})",
-        d4.max_time,
-        d1.max_time
+        d4.wall_s,
+        d1.wall_s
     );
 }
 
@@ -93,8 +114,8 @@ fn comm_volume_tracks_representation_size() {
     // YTYᵀ broadcasts fewer bytes than VY (the §6.5 argument).
     let t = workloads::random_spd_block(8, 8, 4);
     let model = T3DModel::default();
-    let d_vy = factor_distributed(&t, 4, Scheme::V1, RepKind::VY2, Arc::new(model.clone()));
-    let d_yty = factor_distributed(&t, 4, Scheme::V1, RepKind::YTY, Arc::new(model));
+    let d_vy = modeled(&t, 4, Scheme::V1, RepKind::VY2, model.clone());
+    let d_yty = modeled(&t, 4, Scheme::V1, RepKind::YTY, model);
     let vy_bytes: usize = d_vy.bytes_sent.iter().sum();
     let yty_bytes: usize = d_yty.bytes_sent.iter().sum();
     assert!(
