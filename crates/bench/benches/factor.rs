@@ -44,23 +44,6 @@ fn bench_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_inplace_vs_shift(c: &mut Criterion) {
-    let mut g = c.benchmark_group("phase3");
-    g.sample_size(10);
-    let t = workloads::random_spd_scalar(1024, 3);
-    for (label, explicit_shift) in [("in_place", false), ("explicit_shift", true)] {
-        g.bench_function(label, |b| {
-            let opts = SchurOptions {
-                block_size: Some(8),
-                explicit_shift,
-                ..Default::default()
-            };
-            b.iter(|| factor_spd(&t, &opts).unwrap());
-        });
-    }
-    g.finish();
-}
-
 /// The bs-probe acceptance check: with tracing disabled (the default)
 /// the span/event hooks in the factorization hot path must cost nothing
 /// measurable — each disabled hook is one relaxed atomic load.
@@ -91,7 +74,6 @@ criterion_group!(
     benches,
     bench_representations,
     bench_scaling,
-    bench_inplace_vs_shift,
     bench_tracing_overhead
 );
 criterion_main!(benches);

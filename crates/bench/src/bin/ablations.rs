@@ -2,10 +2,9 @@
 //!
 //! 1. block reflector representation (U / VY1 / VY2 / YTYᵀ / sequential)
 //!    for the whole factorization;
-//! 2. in-place phase 3 (§6.4) vs explicit shift;
-//! 3. two-level panel blocking chunk size (§6.2);
-//! 4. sequential vs pooled trailing update;
-//! 5. direct O(n²) vs FFT O(n log n) Toeplitz product.
+//! 2. two-level panel blocking chunk size (§6.2);
+//! 3. sequential vs pooled trailing update;
+//! 4. direct O(n²) vs FFT O(n log n) Toeplitz product.
 //!
 //! Run: `cargo run -p bs-bench --release --bin ablations [--quick]`
 
@@ -52,30 +51,7 @@ fn main() {
         &rows,
     );
 
-    // 2. In-place vs explicit shift (matters most at small m).
-    let mut rows = Vec::new();
-    for ms_ in [1usize, 4, 16] {
-        for (label, explicit_shift) in [("in-place", false), ("explicit shift", true)] {
-            let opts = SchurOptions {
-                block_size: Some(ms_),
-                explicit_shift,
-                ..Default::default()
-            };
-            let secs = best_of(reps, || factor_spd(&t, &opts).unwrap());
-            rows.push(vec![
-                ms_.to_string(),
-                label.to_string(),
-                format!("{:.2}", secs * 1e3),
-            ]);
-        }
-    }
-    print_table(
-        &format!("Ablation 2 — phase 3 strategy (n = {n}, §6.4)"),
-        &["m_s", "phase 3", "time ms"],
-        &rows,
-    );
-
-    // 3. Two-level blocking chunk size at large m.
+    // 2. Two-level blocking chunk size at large m.
     let mut rows = Vec::new();
     let ms_ = 32;
     for k in [1usize, 2, 4, 8, 16, 32] {
@@ -88,12 +64,12 @@ fn main() {
         rows.push(vec![k.to_string(), format!("{:.2}", secs * 1e3)]);
     }
     print_table(
-        &format!("Ablation 3 — two-level panel chunk k (n = {n}, m_s = {ms_}, §6.2)"),
+        &format!("Ablation 2 — two-level panel chunk k (n = {n}, m_s = {ms_}, §6.2)"),
         &["k", "time ms"],
         &rows,
     );
 
-    // 4. Parallel trailing update.
+    // 3. Parallel trailing update.
     let mut rows = Vec::new();
     for (label, exec) in [
         ("sequential", bs_matrix::ExecPolicy::sequential()),
@@ -108,12 +84,12 @@ fn main() {
         rows.push(vec![label.to_string(), format!("{:.2}", secs * 1e3)]);
     }
     print_table(
-        &format!("Ablation 4 — trailing update parallelism (n = {n}, m_s = 32)"),
+        &format!("Ablation 3 — trailing update parallelism (n = {n}, m_s = 32)"),
         &["mode", "time ms"],
         &rows,
     );
 
-    // 5. Direct vs FFT Toeplitz product.
+    // 4. Direct vs FFT Toeplitz product.
     let mut rows = Vec::new();
     for nn in [512usize, 2048, 8192] {
         if quick && nn > 2048 {
@@ -132,7 +108,7 @@ fn main() {
         ]);
     }
     print_table(
-        "Ablation 5 — Toeplitz product: direct O(n²) vs circulant FFT O(n log n)",
+        "Ablation 4 — Toeplitz product: direct O(n²) vs circulant FFT O(n log n)",
         &["n", "direct ms", "fft ms", "speedup"],
         &rows,
     );

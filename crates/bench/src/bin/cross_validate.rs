@@ -49,7 +49,6 @@ fn main() {
                 } else {
                     bs_matrix::ExecPolicy::sequential()
                 },
-                explicit_shift: seed % 2 == 0,
                 two_level: if seed % 5 == 0 { Some(2) } else { None },
                 ..Default::default()
             };

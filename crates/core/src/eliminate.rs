@@ -1,29 +1,37 @@
-//! The unified generator-elimination engine behind both factorization
-//! drivers.
+//! The generator-elimination kernels behind both factorization drivers.
 //!
-//! Historically `schur.rs` (SPD, §5–§6) and `indefinite.rs` (§8)
-//! each carried their own copy of the `p − 1`-step elimination loop.
-//! The loops differ only in *pivot policy*:
+//! `schur.rs` (SPD, §5–§6) and `indefinite.rs` (§8) run the same
+//! `p − 1`-step elimination of the `2m × n` generator, but as two
+//! kernels, because they treat a pivot column differently:
 //!
-//! - [`PivotPolicy::SpdStrict`] — a pivot column whose hyperbolic norm
-//!   is non-positive aborts (`NotPositiveDefinite` / `SingularMinor`).
-//!   Blocked level-3 trailing updates and the in-place §6.4 column
-//!   pairing apply.
-//! - [`PivotPolicy::Exchange`] — wrong-signed pivots trigger a row
-//!   exchange with a matching-signature lower generator row, and
-//!   numerically zero pivots are repaired by the §8.2 graded
-//!   δ-perturbation. Exchanges do not commute past the blocked
-//!   representations, so the trailing update is per-reflector.
+//! - `eliminate_spd` aborts on a pivot column whose hyperbolic norm
+//!   is not strictly positive (`NotPositiveDefinite` /
+//!   `SingularMinor`). Each step factors the pivot panel into block
+//!   reflectors and applies them to the trailing generator with
+//!   level-3 kernels.
+//! - `eliminate_indefinite` repairs wrong-signed pivots with a row
+//!   exchange against a matching-signature lower generator row, and
+//!   numerically zero pivots with the §8.2 graded δ-perturbation.
+//!   Exchanges do not commute past the blocked representations, so the
+//!   trailing update is per-reflector.
 //!
-//! Both kernels live here now, share the panel / reflector / diagonal
-//! normalization machinery, and thread every working buffer through a
-//! caller-owned [`Workspace`] + [`EngineScratch`] pair so a warm engine
-//! (one that has already factored a same-shaped system) performs **zero
-//! heap allocations inside the elimination loop**. The public
-//! `factor_spd` / `factor_indefinite` entry points are thin wrappers
-//! that run the same kernels with fresh state — the plan/execute path
-//! is bitwise-identical to them because pooled buffers are zero-filled
-//! on checkout, exactly like the fresh allocations they replaced.
+//! Both keep the generator stacked, upper half over lower half, and
+//! realize phase 3 as an explicit move of the upper half one block to
+//! the right inside that buffer. The paper's §6.4 alternative, pairing
+//! upper block column `j − s` with lower block column `j` so nothing
+//! moves, needs the halves stored apart and therefore a second
+//! reflector kernel with half-height products; on this engine that
+//! layout is slower (DESIGN.md §7).
+//!
+//! The kernels share the panel / reflector / diagonal normalization
+//! machinery and thread every working buffer through a caller-owned
+//! [`Workspace`] + [`EngineScratch`] pair so a warm engine (one that
+//! has already factored a same-shaped system) performs **zero heap
+//! allocations inside the elimination loop**. The public `factor_spd`
+//! / `factor_indefinite` entry points are thin wrappers that run the
+//! same kernels with fresh state — the plan/execute path is
+//! bitwise-identical to them because pooled buffers are zero-filled on
+//! checkout, exactly like the fresh allocations they replaced.
 
 use crate::indefinite::{IndefFactor, IndefOptions, Perturbation};
 use crate::panel::{factor_panel_into, PanelScratch};
@@ -37,27 +45,6 @@ use bs_probe::metrics::{self, Counter};
 use bs_probe::stability;
 use bs_toeplitz::{build_generator, SymBlockToeplitz};
 use std::borrow::Cow;
-
-/// How the elimination treats a pivot column whose hyperbolic norm is
-/// not strictly positive — the single axis along which the SPD and
-/// indefinite Schur algorithms differ.
-#[derive(Clone, Debug)]
-pub enum PivotPolicy {
-    /// Any non-positive pivot aborts the factorization (§5: the input
-    /// must be symmetric positive definite).
-    SpdStrict,
-    /// Wrong-signed pivots are repaired by row exchanges and singular
-    /// minors by the graded δ-perturbation of §8.2, per the carried
-    /// [`IndefOptions`].
-    Exchange(IndefOptions),
-}
-
-impl PivotPolicy {
-    /// `true` for the strict SPD policy.
-    pub fn is_spd(&self) -> bool {
-        matches!(self, PivotPolicy::SpdStrict)
-    }
-}
 
 /// Reusable engine state: the per-chunk block reflectors, the panel
 /// scratch, and the per-column buffers of the indefinite kernel. One
@@ -144,10 +131,13 @@ pub(crate) type RowSink<'a, T> = dyn FnMut(usize, usize, usize, MatRef<'_, T>) +
 /// factor block row through `sink(s, m, n, row)`; rows are *not*
 /// sign-normalized. Returns `(m, p, comm_words_per_step)`.
 ///
-/// All working storage (generator halves, panel buffer, trailing-update
-/// temporaries) is checked out of `ws` and returned before this
-/// function exits — even on error — so a warm workspace makes the whole
-/// loop allocation-free.
+/// The working generator is one stacked `2m × n` buffer checked out of
+/// `ws` — the layout every shard rank packs — so the pivot panel is
+/// factored in place and each trailing update is one reflector
+/// application over a contiguous `2m × q` view. The buffer and every
+/// trailing-update temporary go back to `ws` before this function
+/// exits, even on error, so a warm workspace makes the whole loop
+/// allocation-free.
 pub(crate) fn eliminate_spd<T: Scalar>(
     t_ref: &SymBlockToeplitz<T>,
     opts: &SchurOptions,
@@ -171,17 +161,13 @@ pub(crate) fn eliminate_spd<T: Scalar>(
     }
     let w = Signature::hyperbolic(m);
 
-    // Split the generator into its two halves.
-    let mut gu = ws.take_matrix(m, n);
-    let mut gl = ws.take_matrix(m, n);
-    gu.mt().copy_from(gen.data.sub(0, 0, m, n));
-    gl.mt().copy_from(gen.data.sub(m, 0, m, n));
+    let mut g = ws.take_matrix(2 * m, n);
+    g.mt().copy_from(gen.data.rf());
 
     // R block row 0 is the untransformed upper generator half.
-    sink(0, m, n, gu.rf());
+    sink(0, m, n, g.sub(0, 0, m, n));
 
     let mut comm_words = 0usize;
-    let mut panel_buf = ws.take_matrix(2 * m, m);
     let scale = t_ref.norm_inf().max(1.0);
     stability::set_scale(scale);
 
@@ -197,39 +183,25 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         let step_t0 = bs_probe::histogram::is_enabled().then(std::time::Instant::now);
         metrics::incr(Counter::SchurSteps);
 
-        if opts.explicit_shift {
-            // Phase 3 (explicit): move the upper row right by one block.
-            let mut shift_buf = ws.take_matrix(m, m);
-            for j in (s..p).rev() {
-                shift_buf.mt().copy_from(gu.sub(0, (j - 1) * m, m, m));
-                gu.sub_mut(0, j * m, m, m).copy_from(shift_buf.rf());
-            }
-            ws.give_matrix(shift_buf);
+        // Phase 3: move the upper half right by one block. Columns go
+        // in descending order, so each source is read before it is
+        // overwritten.
+        let data = g.as_mut_slice();
+        for c in (s * m..n).rev() {
+            let src = (c - m) * 2 * m;
+            data.copy_within(src..src + m, c * 2 * m);
         }
-        // Column index of the pivot (and trailing) data in each half.
-        let (up_piv, up_trail) = if opts.explicit_shift {
-            (s * m, (s + 1) * m)
-        } else {
-            (0, m)
-        };
-        let low_piv = s * m;
 
-        // Phase 1: assemble and factor the pivot panel.
+        // Phase 1: factor the pivot panel, block column s, in place.
         let panel_flops0 = if bs_probe::trace::is_enabled() {
             bs_matrix::flops::total()
         } else {
             0
         };
         let panel_span = bs_probe::span!("factor_panel", step = s);
-        panel_buf
-            .sub_mut(0, 0, m, m)
-            .copy_from(gu.sub(0, up_piv, m, m));
-        panel_buf
-            .sub_mut(m, 0, m, m)
-            .copy_from(gl.sub(0, low_piv, m, m));
         let k_block = opts.two_level.unwrap_or(m).clamp(1, m);
         if let Err(e) = factor_panel_into(
-            panel_buf.mt(),
+            g.sub_mut(0, s * m, 2 * m, m),
             &w,
             opts.rep,
             s,
@@ -246,9 +218,6 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         let step_words: usize = scratch.reps.iter().map(|r| r.comm_words()).sum();
         comm_words = comm_words.max(step_words);
         metrics::add(Counter::CommWords, step_words as u64);
-        gu.sub_mut(0, up_piv, m, m)
-            .copy_from(panel_buf.sub(0, 0, m, m));
-        gl.sub_mut(0, low_piv, m, m).fill(T::ZERO);
         drop(panel_span);
         if bs_probe::trace::is_enabled() {
             bs_probe::event!(
@@ -258,8 +227,8 @@ pub(crate) fn eliminate_spd<T: Scalar>(
             );
         }
 
-        // Phase 2: trailing update on the paired column ranges, one
-        // chunk transformation after the other.
+        // Phase 2: trailing update, one chunk transformation after the
+        // other.
         let trail = width - m;
         if trail > 0 {
             let apply_flops0 = if bs_probe::trace::is_enabled() {
@@ -269,12 +238,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
             };
             let apply_span = bs_probe::span!("apply_rep", step = s, cols = trail);
             for rep in &scratch.reps {
-                rep.apply_split_ws(
-                    gu.sub_mut(0, up_trail, m, trail),
-                    gl.sub_mut(0, low_piv + m, m, trail),
-                    &opts.exec,
-                    ws,
-                );
+                rep.apply_ws(g.sub_mut(0, (s + 1) * m, 2 * m, trail), &opts.exec, ws);
             }
             drop(apply_span);
             if bs_probe::trace::is_enabled() {
@@ -287,8 +251,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         }
 
         // Emit R block row s.
-        let src_col = if opts.explicit_shift { s * m } else { 0 };
-        sink(s, m, n, gu.sub(0, src_col, m, width));
+        sink(s, m, n, g.sub(0, s * m, m, width));
 
         if bs_probe::trace::is_enabled() {
             bs_probe::event!(
@@ -306,9 +269,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         }
     }
 
-    ws.give_matrix(panel_buf);
-    ws.give_matrix(gu);
-    ws.give_matrix(gl);
+    ws.give_matrix(g);
     // paranoid: every scratch checkout must be back in the pool here,
     // success or failure.
     ws.contract_region("eliminate_spd", ws_entry, 0);
@@ -634,7 +595,7 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
 /// changes), and zero the strict lower triangle — within each emitted
 /// diagonal block the sub-diagonal entries are exact zeros in exact
 /// arithmetic but carry `O(ε)` roundoff from the level-3 updates.
-pub(crate) fn normalize_diagonal<T: Scalar>(r: &mut Matrix<T>) {
+pub fn normalize_diagonal<T: Scalar>(r: &mut Matrix<T>) {
     let n = r.rows();
     for i in 0..n {
         if r[(i, i)] < T::ZERO {

@@ -18,9 +18,9 @@
 //!   form, each with production and level-3 application routines.
 //! - [`panel`] — phase 1 of each Schur step: factoring the `2m × m`
 //!   pivot panel into a block reflector (§6.2).
-//! - [`schur`] — the SPD driver (§5-§6): explicit-shift and in-place
-//!   variants, optional pooled parallel generator update, optional
-//!   algorithmic block size `m_s ≠ m` (§6.5).
+//! - [`schur`] — the SPD driver (§5-§6) on one stacked `2m × n`
+//!   generator, with optional pooled parallel generator update and
+//!   optional algorithmic block size `m_s ≠ m` (§6.5).
 //! - [`indefinite`] — the extension to symmetric indefinite Toeplitz
 //!   matrices with row exchanges and the `δ ≈ ε^{1/3}` perturbation for
 //!   singular principal minors (§8).
@@ -44,7 +44,7 @@ pub mod rep;
 pub mod schur;
 pub mod solve;
 
-pub use eliminate::{EngineScratch, PivotPolicy};
+pub use eliminate::EngineScratch;
 pub use factor::{Factor, Factorization};
 pub use indefinite::{factor_indefinite, IndefFactor, IndefOptions, Perturbation};
 pub use plan::{FactorPlan, PlanRequest, PlanWorkspace, Precision};

@@ -2,8 +2,8 @@
 //!
 //! A [`FactorPlan`] captures every algorithmic choice of the block
 //! Schur factorization — representation of the block reflectors (§4),
-//! algorithmic block size `m_s` (§6.5), shift variant, two-level
-//! chunking, pivot fallback policy — for one system shape `(n, m)`.
+//! algorithmic block size `m_s` (§6.5), two-level chunking, pivot
+//! fallback policy — for one system shape `(n, m)`.
 //! Fields a [`PlanRequest`] leaves unset are chosen from the
 //! `bs-perfmodel` cost formulas (eqs. 25–32): the representation by
 //! total blocking + application flops over all `p − 1` steps, the
@@ -105,8 +105,6 @@ pub struct PlanRequest {
     /// ([`bs_perfmodel::tradeoff::auto_threads`] on the predicted
     /// elimination flops, clamped to the machine's cores).
     pub threads: Option<usize>,
-    /// Explicit generator shift instead of the in-place §6.4 pairing.
-    pub explicit_shift: bool,
     /// Two-level panel chunk size (§6.2); `None` blocks whole panels.
     pub two_level: Option<usize>,
     /// SPD zero-pivot tolerance; `None` → the [`SchurOptions`] default.
@@ -355,7 +353,6 @@ impl FactorPlan {
             rep,
             exec,
             block_size: (m_s != m).then_some(m_s),
-            explicit_shift: req.explicit_shift,
             two_level: req.two_level,
             zero_tol: req.zero_tol.unwrap_or(SchurOptions::default().zero_tol),
         };

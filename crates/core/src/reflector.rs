@@ -88,10 +88,18 @@ impl<T: Scalar> HypReflector<T> {
         )
     }
 
-    /// Apply to a dense column: `c ← W c + beta x (xᵀ c)`.
+    /// Apply to a dense column: `c ← W c + beta x (xᵀ c)`, counting one
+    /// flop per entry `W` negates.
     pub fn apply_col(&self, w: &Signature, c: &mut [T]) {
         let s = bs_matrix::blas1::dot(&self.x, c);
-        w.apply(c);
+        let mut negated = 0u64;
+        for (ci, &wi) in c.iter_mut().zip(&w.0) {
+            if wi < 0 {
+                *ci = -*ci;
+                negated += 1;
+            }
+        }
+        flops::add(negated);
         bs_matrix::blas1::axpy(self.beta * s, &self.x, c);
     }
 

@@ -17,7 +17,10 @@
 //!
 //! Application to the trailing generator (`phase 2`, §6.3) is level-3
 //! for all blocked forms: one or two `gemm`s against the `2m × q`
-//! trailing columns.
+//! trailing columns. There is one application kernel, and it takes the
+//! generator stacked, upper half over lower half — the layout of the
+//! sequential engine's working generator, of every shard rank's packed
+//! columns, and of the pivot panel.
 
 use crate::reflector::{HypReflector, PivotReflector};
 use bs_matrix::blas3::{gemm, gemm_ws, Trans};
@@ -491,7 +494,7 @@ impl<T: Scalar> BlockReflector<T> {
                             }
                         }
                     }
-                    flops::add((n * k) as u64);
+                    flops::add((self.w.negatives() * k) as u64);
                     mm(
                         T::ONE,
                         yw.rf(),
@@ -544,284 +547,6 @@ impl<T: Scalar> BlockReflector<T> {
         }
     }
 
-    /// Apply the product to a *split* pair of half-generators: `gu` is
-    /// the upper `m × q` slice and `gl` the lower `m × q` slice, stored
-    /// in unrelated memory (the in-place phase-3 scheme of §6.4, where
-    /// the logical "shift" is realized by pairing upper block column
-    /// `j − s` with lower block column `j`). Requires the SPD working
-    /// signature `W = diag(I_m, −I_m)` — the quadrant split exploits
-    /// `Wᵏ = diag(I, (−1)ᵏ I)`. All temporaries are checked out of `ws`
-    /// (the warm plan/execute trailing-update path).
-    pub fn apply_split_ws(
-        &self,
-        gu: MatMut<'_, T>,
-        gl: MatMut<'_, T>,
-        exec: &ExecPolicy,
-        ws: &mut Workspace<T>,
-    ) {
-        self.apply_split_impl(gu, gl, exec, Some(ws));
-    }
-
-    /// Strip dispatcher for the split application. The strip boundaries
-    /// depend only on the representation and `exec.{min_work, partition}`
-    /// — never on `exec.threads` — so the parallel result is bitwise
-    /// identical to the sequential one at every thread count.
-    fn apply_split_impl(
-        &self,
-        gu: MatMut<'_, T>,
-        gl: MatMut<'_, T>,
-        exec: &ExecPolicy,
-        mut ws: Option<&mut Workspace<T>>,
-    ) {
-        assert_eq!(gu.cols(), gl.cols());
-        let q = gu.cols();
-        if self.k == 0 || q == 0 {
-            self.apply_split_cols(gu, gl, ws.as_deref_mut());
-            return;
-        }
-        let width = exec.partition.strip_width(q);
-        if self.apply_work(q) < exec.min_work as u128 || width >= q {
-            self.apply_split_cols(gu, gl, ws.as_deref_mut());
-            return;
-        }
-        // bs-lint: allow(no-alloc-hot) -- O(strips) descriptors at dispatch; they borrow Gu/Gl and cannot live in a pool
-        let mut strips: Vec<(MatMut<'_, T>, MatMut<'_, T>)> = Vec::with_capacity(q.div_ceil(width));
-        let (mut rest_u, mut rest_l) = (gu, gl);
-        let mut start = 0;
-        while start < q {
-            let w = width.min(q - start);
-            let (head_u, tail_u) = rest_u.split_at_col(w);
-            let (head_l, tail_l) = rest_l.split_at_col(w);
-            strips.push((head_u, head_l));
-            rest_u = tail_u;
-            rest_l = tail_l;
-            start += w;
-        }
-        if exec.threads <= 1 || par::in_dispatch() {
-            // Same strips, executed inline with the caller's workspace.
-            for (su, sl) in strips {
-                self.apply_split_cols(su, sl, ws.as_deref_mut());
-            }
-        } else {
-            par::for_each_policy(exec, strips, |(su, sl)| {
-                par::with_worker_ws(|wws| self.apply_split_cols(su, sl, Some(wws)));
-            });
-        }
-    }
-
-    /// Monolithic split application to one group of column pairs — the
-    /// unit the strip dispatcher distributes. Always sequential inside.
-    fn apply_split_cols(
-        &self,
-        mut gu: MatMut<'_, T>,
-        mut gl: MatMut<'_, T>,
-        mut ws: Option<&mut Workspace<T>>,
-    ) {
-        let m = self.n / 2;
-        assert_eq!(gu.rows(), m);
-        assert_eq!(gl.rows(), m);
-        assert_eq!(gu.cols(), gl.cols());
-        debug_assert!(
-            (0..m).all(|i| self.w.sign(i) > 0) && (m..2 * m).all(|i| self.w.sign(i) < 0),
-            "apply_split requires the SPD signature diag(I, -I)"
-        );
-        if self.k == 0 || gu.cols() == 0 {
-            return;
-        }
-        let k = self.k;
-        let q = gu.cols();
-        let low_sign = if k % 2 == 1 { -T::ONE } else { T::ONE };
-        match self.kind {
-            RepKind::Sequential => {
-                for j in 0..q {
-                    // Split application of each elementary reflector:
-                    // s = x_uᵀ cu + x_lᵀ cl; cu += β s x_u; cl ← −cl + β s x_l.
-                    for r in &self.elems {
-                        let s = {
-                            let cu = gu.col(j);
-                            let cl = gl.col(j);
-                            bs_matrix::blas1::dot(&r.x[..m], cu)
-                                + bs_matrix::blas1::dot(&r.x[m..], cl)
-                        };
-                        bs_matrix::blas1::axpy(r.beta * s, &r.x[..m], gu.col_mut(j));
-                        let cl = gl.col_mut(j);
-                        for (i, c) in cl.iter_mut().enumerate() {
-                            *c = -*c + r.beta * s * r.x[m + i];
-                        }
-                        flops::add(3 * m as u64);
-                    }
-                }
-            }
-            RepKind::Accumulated => {
-                // [gu; gl] ← [U11 U12; U21 U22] [gu; gl].
-                let u11 = self.left.sub(0, 0, m, m);
-                let u12 = self.left.sub(0, m, m, m);
-                let u21 = self.left.sub(m, 0, m, m);
-                let u22 = self.left.sub(m, m, m, m);
-                let mut gu0 = take_mat(&mut ws, m, q);
-                let mut gl0 = take_mat(&mut ws, m, q);
-                for j in 0..q {
-                    gu0.col_mut(j).copy_from_slice(gu.col(j));
-                    gl0.col_mut(j).copy_from_slice(gl.col(j));
-                }
-                mm(
-                    T::ONE,
-                    u11,
-                    Trans::No,
-                    gu0.rf(),
-                    Trans::No,
-                    T::ZERO,
-                    gu.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    u12,
-                    Trans::No,
-                    gl0.rf(),
-                    Trans::No,
-                    T::ONE,
-                    gu.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    u21,
-                    Trans::No,
-                    gu0.rf(),
-                    Trans::No,
-                    T::ZERO,
-                    gl.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    u22,
-                    Trans::No,
-                    gl0.rf(),
-                    Trans::No,
-                    T::ONE,
-                    gl.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                give_mat(&mut ws, gu0);
-                give_mat(&mut ws, gl0);
-            }
-            RepKind::VY1 | RepKind::VY2 => {
-                // Z = Yuᵀ Gu + Ylᵀ Gl;
-                // Gu ← Gu + Vu Z;  Gl ← (−1)ᵏ Gl + Vl Z.
-                let vu = self.left.sub(0, 0, m, k);
-                let vl = self.left.sub(m, 0, m, k);
-                let yu = self.right.sub(0, 0, m, k);
-                let yl = self.right.sub(m, 0, m, k);
-                let mut z = take_mat(&mut ws, k, q);
-                mm(
-                    T::ONE,
-                    yu,
-                    Trans::Yes,
-                    gu.rb(),
-                    Trans::No,
-                    T::ZERO,
-                    z.mt(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    yl,
-                    Trans::Yes,
-                    gl.rb(),
-                    Trans::No,
-                    T::ONE,
-                    z.mt(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    vu,
-                    Trans::No,
-                    z.rf(),
-                    Trans::No,
-                    T::ONE,
-                    gu.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    vl,
-                    Trans::No,
-                    z.rf(),
-                    Trans::No,
-                    low_sign,
-                    gl.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                give_mat(&mut ws, z);
-            }
-            RepKind::YTY => {
-                // Z = Yᵀ W^{k−1} [Gu; Gl] = Yuᵀ Gu + s' Ylᵀ Gl,
-                // s' = (−1)^{k−1}.
-                let yu = self.left.sub(0, 0, m, k);
-                let yl = self.left.sub(m, 0, m, k);
-                let sp = if (k - 1) % 2 == 1 { -T::ONE } else { T::ONE };
-                let mut z = take_mat(&mut ws, k, q);
-                mm(
-                    T::ONE,
-                    yu,
-                    Trans::Yes,
-                    gu.rb(),
-                    Trans::No,
-                    T::ZERO,
-                    z.mt(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    sp,
-                    yl,
-                    Trans::Yes,
-                    gl.rb(),
-                    Trans::No,
-                    T::ONE,
-                    z.mt(),
-                    ws.as_deref_mut(),
-                );
-                // TZ with lower triangular T (small, direct).
-                let mut tz = take_mat(&mut ws, k, q);
-                for jj in 0..q {
-                    for i in 0..k {
-                        let mut s = T::ZERO;
-                        for l in 0..=i {
-                            s += self.right[(i, l)] * z[(l, jj)];
-                        }
-                        tz[(i, jj)] = s;
-                    }
-                }
-                flops::add((k * k * q) as u64);
-                mm(
-                    T::ONE,
-                    yu,
-                    Trans::No,
-                    tz.rf(),
-                    Trans::No,
-                    T::ONE,
-                    gu.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                mm(
-                    T::ONE,
-                    yl,
-                    Trans::No,
-                    tz.rf(),
-                    Trans::No,
-                    low_sign,
-                    gl.rb_mut(),
-                    ws.as_deref_mut(),
-                );
-                give_mat(&mut ws, z);
-                give_mat(&mut ws, tz);
-            }
-        }
-    }
-
     /// Densify to the full `n × n` transformation (test / diagnostic).
     pub fn to_dense(&self) -> Matrix<T> {
         let n = self.n;
@@ -832,8 +557,8 @@ impl<T: Scalar> BlockReflector<T> {
 }
 
 /// Sequential gemm used inside one column strip. Parallelism lives a
-/// layer up (the strip dispatchers in `apply_impl` / `apply_split_impl`),
-/// so the inner product kernel never fans out again: with a workspace it
+/// layer up (the strip dispatcher in `apply_impl`), so the inner
+/// product kernel never fans out again: with a workspace it
 /// packs into pooled buffers, without one it allocates privately.
 #[allow(clippy::too_many_arguments)]
 fn mm<T: Scalar>(
@@ -886,7 +611,7 @@ fn give_mat<T: Scalar>(ws: &mut Option<&mut Workspace<T>>, m: Matrix<T>) {
     }
 }
 
-/// `G ← Wᵏ G` in place.
+/// `G ← Wᵏ G` in place, counting one flop per negated entry.
 fn apply_wk<T: Scalar>(w: &Signature, k: usize, mut g: MatMut<'_, T>) {
     if k.is_multiple_of(2) {
         return;
@@ -899,7 +624,7 @@ fn apply_wk<T: Scalar>(w: &Signature, k: usize, mut g: MatMut<'_, T>) {
             }
         }
     }
-    flops::add((g.rows() * g.cols()) as u64);
+    flops::add((w.negatives() * g.cols()) as u64);
 }
 
 #[cfg(test)]
@@ -984,58 +709,55 @@ mod tests {
     fn apply_matches_explicit_multiply() {
         let m = 3;
         let (w, rs) = make_reflectors(m, m, 7);
-        let mut b = BlockReflector::new(RepKind::YTY, w.clone(), m);
-        for r in &rs {
-            b.push(r);
-        }
-        let u = b.to_dense();
-        // Random trailing block.
-        let g0 = Matrix::from_fn(2 * m, 9, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
-        let mut want = Matrix::zeros(2 * m, 9);
-        gemm(1.0, u.rf(), Trans::No, g0.rf(), Trans::No, 0.0, want.mt());
-        let mut g = g0.clone();
-        b.apply(g.mt(), &ExecPolicy::sequential());
-        assert!(g.max_abs_diff(&want) < 1e-10);
-        // Pooled path must be bitwise identical, not merely close: the
-        // strip boundaries are thread-independent by construction.
-        for threads in [2, bs_matrix::par::current_num_threads().max(2) * 2] {
-            let par = ExecPolicy {
-                threads,
-                min_work: 1,
-                partition: bs_matrix::Partition::Auto,
-            };
-            let mut g2 = g0.clone();
-            b.apply(g2.mt(), &par);
-            assert_eq!(g2.max_abs_diff(&g), 0.0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn apply_split_is_bitwise_across_thread_counts() {
-        let m = 6;
-        let (w, rs) = make_reflectors(m, m, 31);
+        // Random trailing block; 13 columns leave a ragged last strip
+        // under `Partition::Width(3)`.
+        let g0 = Matrix::from_fn(2 * m, 13, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+        let mut ws = Workspace::new();
         for kind in RepKind::ALL {
             let mut b = BlockReflector::new(kind, w.clone(), m);
             for r in &rs {
                 b.push(r);
             }
-            let gu0 = Matrix::from_fn(m, 13, |i, j| ((i * 5 + j * 11) % 13) as f64 - 6.0);
-            let gl0 = Matrix::from_fn(m, 13, |i, j| ((i * 3 + j * 7) % 17) as f64 - 8.0);
-            let mut ws = Workspace::new();
-            let (mut su, mut sl) = (gu0.clone(), gl0.clone());
-            b.apply_split_ws(su.mt(), sl.mt(), &ExecPolicy::sequential(), &mut ws);
-            for threads in [2, 5] {
-                let par = ExecPolicy {
-                    threads,
-                    min_work: 1,
-                    partition: bs_matrix::Partition::Width(3),
-                };
-                let (mut pu, mut pl) = (gu0.clone(), gl0.clone());
-                b.apply_split_ws(pu.mt(), pl.mt(), &par, &mut ws);
-                assert_eq!(pu.max_abs_diff(&su), 0.0, "kind={kind} threads={threads}");
-                assert_eq!(pl.max_abs_diff(&sl), 0.0, "kind={kind} threads={threads}");
+            let u = b.to_dense();
+            let mut want = Matrix::zeros(2 * m, 13);
+            gemm(1.0, u.rf(), Trans::No, g0.rf(), Trans::No, 0.0, want.mt());
+            let mut g = g0.clone();
+            b.apply(g.mt(), &ExecPolicy::sequential());
+            assert!(g.max_abs_diff(&want) < 1e-10, "kind={kind}");
+            // Pooled path must be bitwise identical, not merely close: the
+            // strip boundaries are thread-independent by construction.
+            for partition in [bs_matrix::Partition::Auto, bs_matrix::Partition::Width(3)] {
+                for threads in [2, 5, bs_matrix::par::current_num_threads().max(2) * 2] {
+                    let par = ExecPolicy {
+                        threads,
+                        min_work: 1,
+                        partition,
+                    };
+                    let mut g2 = g0.clone();
+                    b.apply_ws(g2.mt(), &par, &mut ws);
+                    assert_eq!(
+                        g2.max_abs_diff(&g),
+                        0.0,
+                        "kind={kind} {partition:?} threads={threads}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn apply_counts_one_flop_per_negated_entry() {
+        // k = 1 is odd, so W¹ negates the m lower rows of G: the count
+        // is the two gemms (4·m·q flops each) plus those m·q negations.
+        let (m, q) = (4, 5);
+        let (w, rs) = make_reflectors(m, 1, 3);
+        let mut b = BlockReflector::new(RepKind::VY2, w, 1);
+        b.push(&rs[0]);
+        let mut g = Matrix::from_fn(2 * m, q, |i, j| (i + 2 * j) as f64);
+        let mut ws = Workspace::new();
+        let ((), counted) =
+            flops::measure(|| b.apply_ws(g.mt(), &ExecPolicy::sequential(), &mut ws));
+        assert_eq!(counted, (8 * m * q + m * q) as u64);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //!    Householder reflector ([`crate::panel::factor_panel`]);
 //! 2. apply the block reflector to the trailing generator columns
 //!    (level-3, optionally fanned out on the persistent worker pool);
-//! 3. shift the upper block row one block to the right — either
-//!    *explicitly* (a copy) or *in place* by pairing upper block column
-//!    `j − s` with lower block column `j` (§6.4; the variant used on
-//!    the Cray Y-MP).
+//! 3. shift the upper block row one block to the right.
 //!
-//! The working generator is stored as two separate `m × n` halves,
-//! which makes the in-place column pairing a pair of disjoint
-//! sub-views rather than an aliasing hazard.
+//! The working generator is one stacked `2m × n` buffer, the layout
+//! each shard rank packs: phase 3 moves its upper `m` rows inside the
+//! buffer, phase 1 factors the pivot panel in place, and phase 2 is one
+//! reflector application over the contiguous trailing columns. The
+//! paper's §6.4 avoids the phase-3 copy by pairing upper block column
+//! `j − s` with lower block column `j`; that needs the two halves
+//! stored apart and half-height products, which measured slower here
+//! (DESIGN.md §7).
 
 use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled, EngineScratch};
 use crate::rep::RepKind;
@@ -37,9 +39,6 @@ pub struct SchurOptions {
     /// Algorithmic block size `m_s` (§6.5). Must be a multiple of the
     /// structural block size and divide `n`; `None` keeps `m_s = m`.
     pub block_size: Option<usize>,
-    /// Perform phase 3 as an explicit memory shift instead of the
-    /// in-place column pairing (ablation of the §6.4 optimization).
-    pub explicit_shift: bool,
     /// Two-level blocking chunk size (§6.2): block the elementary
     /// reflectors every `k` steps and update the rest of the pivot
     /// panel with level-3 kernels between chunks. `None` blocks the
@@ -60,7 +59,6 @@ impl Default for SchurOptions {
             // Honors BS_THREADS when set; sequential otherwise.
             exec: ExecPolicy::from_env(),
             block_size: None,
-            explicit_shift: false,
             two_level: None,
             zero_tol: 1e-13,
         }
@@ -164,9 +162,8 @@ mod tests {
         let diff = rec.max_abs_diff(&dense);
         assert!(
             diff < tol * scale,
-            "rep={:?} shift={} m={} p={}: ||R^TR - T|| = {diff:e}",
+            "rep={:?} m={} p={}: ||R^TR - T|| = {diff:e}",
             opts.rep,
-            opts.explicit_shift,
             f.m,
             f.p
         );
@@ -190,14 +187,11 @@ mod tests {
         for (m, p) in [(1usize, 9usize), (2, 6), (3, 5), (4, 4)] {
             let t = workloads::random_spd_block(m, p, 17 * m as u64 + p as u64);
             for rep in RepKind::ALL {
-                for explicit_shift in [false, true] {
-                    let opts = SchurOptions {
-                        rep,
-                        explicit_shift,
-                        ..Default::default()
-                    };
-                    check_factor(&t, &opts, 1e-9);
-                }
+                let opts = SchurOptions {
+                    rep,
+                    ..Default::default()
+                };
+                check_factor(&t, &opts, 1e-9);
             }
         }
     }

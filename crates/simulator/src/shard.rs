@@ -45,6 +45,7 @@
 
 use crate::analytic::apply_dim;
 use crate::scheme::Scheme;
+use bs_core::eliminate::normalize_diagonal;
 use bs_core::panel::factor_panel;
 use bs_core::rep::{BlockReflector, RepKind};
 use bs_distmem::{CostModel, Primitive, Proc, WallOpts, World};
@@ -192,18 +193,7 @@ fn assemble(outs: Vec<RankOut>, m: usize, p: usize) -> ShardRun {
                 .copy_from(tile.rf());
         }
     }
-    for i in 0..n {
-        if r[(i, i)] < 0.0 {
-            for j in i..n {
-                r[(i, j)] = -r[(i, j)];
-            }
-        }
-    }
-    for j in 0..n {
-        for i in j + 1..n {
-            r[(i, j)] = 0.0;
-        }
-    }
+    normalize_diagonal(&mut r);
     ShardRun {
         r,
         wall_s: outs.first().map(|o| o.max_wall).unwrap_or(0.0),

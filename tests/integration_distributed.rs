@@ -215,6 +215,27 @@ fn sharded_matches_sequential_across_schemes_and_np() {
 }
 
 #[test]
+fn one_rank_shard_equals_sequential_engine_bitwise() {
+    // One rank runs the sequential engine's kernel on the same stacked
+    // generator layout, so on either clock its factor must match
+    // `factor_spd` to the last bit — packed block sizes included.
+    let bits = |m: &Matrix| {
+        m.as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    for m in [1usize, 2, 4, 8, 16, 32] {
+        let t = workloads::random_spd_block(m, 384 / m, (m * 13 + 5) as u64);
+        let seq = bits(&factor_spd(&t, &SchurOptions::default()).unwrap().r);
+        let wall = factor_sharded(&t, &ShardOptions::new(Scheme::V1, 1));
+        let model = modeled(&t, 1, Scheme::V1, RepKind::VY2, T3DModel::default());
+        assert!(bits(&wall.r) == seq, "m={m}: wall-clock shard differs");
+        assert!(bits(&model.r) == seq, "m={m}: modeled-clock shard differs");
+    }
+}
+
+#[test]
 fn sharded_factor_is_bitwise_reproducible() {
     // Fixed (matrix, scheme, np, rep, kernel): thread scheduling may
     // reorder arrivals but never contents, so two runs must agree to

@@ -35,24 +35,18 @@ fn all_option_combinations_agree() {
     let reference = factor_spd(&t, &SchurOptions::default()).unwrap();
     for rep in RepKind::ALL {
         for threads in [1usize, 2, 7] {
-            for explicit_shift in [false, true] {
-                let opts = SchurOptions {
-                    rep,
-                    exec: ExecPolicy {
-                        threads,
-                        min_work: 1,
-                        partition: Partition::Auto,
-                    },
-                    explicit_shift,
-                    ..Default::default()
-                };
-                let f = factor_spd(&t, &opts).unwrap();
-                let diff = f.r.max_abs_diff(&reference.r);
-                assert!(
-                    diff < 1e-10,
-                    "rep={rep:?} threads={threads} shift={explicit_shift}: diff {diff:e}"
-                );
-            }
+            let opts = SchurOptions {
+                rep,
+                exec: ExecPolicy {
+                    threads,
+                    min_work: 1,
+                    partition: Partition::Auto,
+                },
+                ..Default::default()
+            };
+            let f = factor_spd(&t, &opts).unwrap();
+            let diff = f.r.max_abs_diff(&reference.r);
+            assert!(diff < 1e-10, "rep={rep:?} threads={threads}: diff {diff:e}");
         }
     }
 }
