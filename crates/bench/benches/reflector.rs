@@ -61,6 +61,7 @@ fn bench_application(c: &mut Criterion) {
     let w = Signature::hyperbolic(m);
     let p0 = make_panel(m);
     let trail = Matrix::from_fn(2 * m, q, |i, j| ((i * 31 + j * 7) % 17) as f64 - 8.0);
+    let mut ws = bs_matrix::Workspace::new();
     for rep in RepKind::ALL {
         let mut panel = p0.clone();
         let refl = factor_panel(panel.mt(), &w, rep, 0, 1e-13, 1.0).unwrap();
@@ -70,7 +71,7 @@ fn bench_application(c: &mut Criterion) {
             |b, refl| {
                 b.iter_batched(
                     || trail.clone(),
-                    |mut t| refl.apply(t.mt(), &bs_matrix::ExecPolicy::sequential()),
+                    |mut t| refl.apply(t.mt(), &bs_matrix::ExecPolicy::sequential(), &mut ws),
                     bs_bench::harness::BatchSize::LargeInput,
                 );
             },

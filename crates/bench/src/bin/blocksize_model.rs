@@ -81,7 +81,7 @@ fn characterize(m: usize, reps: usize) -> Rates {
     for _ in 0..reps {
         let mut g = g0.clone();
         let (_, run) =
-            time_it(|| refl.apply_ws(g.mt(), &bs_matrix::ExecPolicy::sequential(), &mut ws));
+            time_it(|| refl.apply(g.mt(), &bs_matrix::ExecPolicy::sequential(), &mut ws));
         best = best.min(run.wall_s);
     }
     let apply = apply_flops(Rep::VY2, m, m, q_blocks) / best;

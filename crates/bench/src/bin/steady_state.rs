@@ -1,32 +1,20 @@
 //! Steady-state solver benchmark: repeated factor/solve cycles against
 //! a stream of same-shaped SPD block Toeplitz systems, comparing a warm
-//! [`Factor`] (plan and [`PlanWorkspace`] reused via
-//! [`Factor::refactor`]) against a cold factor per system and against
-//! the per-call-allocation baseline (same plan, pooling disabled).
+//! [`Factor`] (plan and operator copy reused via [`Factor::refactor`])
+//! against a cold factor per system (a fresh plan every time).
 //!
-//! The warm path must perform **zero** workspace allocations inside the
-//! measured loop — after one warm-up refactor the retired triangular
-//! factor is recycled for direct reuse (skipping even the defensive
-//! zero-fill) and everything else comes out of the recycled pool. That
-//! invariant is asserted here via the bs-probe-backed workspace
-//! counters, not just reported.
-//!
-//! The wall-clock win from reuse is a *fixed per-cycle* saving
-//! (allocations plus scratch zero-fills), so it is largest where the
-//! elimination is cheapest: the benchmark sweeps n and asserts the
-//! warm path strictly beats the per-call baseline at the smallest
-//! size, where the fixed cost is a measurable fraction of the cycle.
-//! At larger n the O(m n²) flops dominate and the three paths
-//! converge; there the warm path only has to stay within 10% (it is
-//! never slower in practice, but a virtualized host's min-of-rounds
-//! still carries percent-level noise).
+//! Scratch lives for one factorization: each cycle draws its buffers
+//! from one fresh arena that its `p − 1` elimination steps reuse. An
+//! arena carried across calls saved only a fixed per-call cost (warm ÷
+//! per-call 1.00–1.10× at n = 16…128, EXPERIMENTS.md "Steady-state
+//! reuse"), so it was removed; `allocs_per_cycle` counts the pool
+//! misses of one factorization's arena.
 //!
 //! Run: `cargo run -p bs-bench --release --bin steady_state [--quick]`
 
 use bs_bench::{emit_bench, ms, print_table, quick_mode};
 use bs_core::{
-    Factor, FactorPlan, Factorization, IndefOptions, PlanRequest, PlanWorkspace, Precision,
-    RefineOptions, SchurOptions,
+    Factor, FactorPlan, IndefOptions, PlanRequest, Precision, RefineOptions, SchurOptions,
 };
 use bs_matrix::{ExecPolicy, Partition};
 use bs_perfmodel::tradeoff;
@@ -43,34 +31,23 @@ fn factor_with(t: &bs_toeplitz::SymBlockToeplitz, req: &PlanRequest) -> Factor {
     Factor::from_plan(t, plan, RefineOptions::default()).expect("factorization")
 }
 
-fn solve_factorization(f: &Factorization, b: &[f64]) -> Vec<f64> {
-    match f {
-        Factorization::Spd(f) => f.solve(b).expect("spd solve"),
-        Factorization::Indefinite(f) => f.solve(b).expect("indefinite solve"),
-    }
-}
-
 struct SizeResult {
     n: usize,
     m: usize,
     iters: usize,
     warm_round: f64,
     cold_round: f64,
-    percall_round: f64,
-    high_water: usize,
-    cold_allocs_per_cycle: u64,
-    percall_allocs_per_cycle: u64,
+    allocs_per_cycle: u64,
     per_factor_flops: f64,
 }
 
-/// Time one (m, p) size through all three paths: interleave the paths
-/// round by round (one round = one pass over all systems), rotating
-/// which path goes first each round, and keep each path's best round.
-/// The min kills one-off scheduler noise; the rotation kills the
-/// systematic bias against whichever path runs while the caches are
-/// cold and the clock is still ramping — without it the first-measured
-/// path loses a fixed penalty every round and the min cannot recover
-/// it.
+/// Time one (m, p) size through both paths: interleave the paths round
+/// by round (one round = one pass over all systems), alternating which
+/// path goes first, and keep each path's best round. The min kills
+/// one-off scheduler noise; the alternation kills the systematic bias
+/// against whichever path runs while the caches are cold and the clock
+/// is still ramping — without it the first-measured path loses a fixed
+/// penalty every round and the min cannot recover it.
 fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
     let n = m * p;
     // A stream of same-shaped systems: the AR(1) workload at varying
@@ -88,98 +65,51 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
     // size (the plan/execute engine's auto-selection path).
     let req = PlanRequest::default();
     let mut solver = factor_with(&systems[0], &req);
-    let mut pw = PlanWorkspace::new();
-    // One warm-up refactor recycles the retired factor storage for
-    // reuse; from here on the elimination loop is allocation-free.
-    solver
-        .refactor(&systems[1], &mut pw)
-        .expect("warm-up refactor");
-    pw.reset_stats();
+    solver.refactor(&systems[1]).expect("warm-up refactor");
     let per_factor_flops = solver.plan().predicted_flops();
-
-    // The per-call-allocation baseline runs the same plan through a
-    // fresh bypass workspace per system (pooling disabled, engine
-    // scratch cold every call): every temporary is allocated per call,
-    // exactly the behaviour the plan/workspace machinery replaced.
-    let plan = solver.plan().clone();
-    let mut percall_total_allocs = 0u64;
+    let allocs_per_cycle = {
+        let before = metrics::local_get(Counter::WorkspaceAllocs);
+        let _f = solver.plan().execute(&systems[0]).expect("factorization");
+        metrics::local_get(Counter::WorkspaceAllocs) - before
+    };
 
     let mut warm_round = f64::INFINITY;
     let mut cold_round = f64::INFINITY;
-    let mut percall_round = f64::INFINITY;
     let mut warm_check = 0.0f64;
     let mut cold_check = 0.0f64;
-    let mut percall_check = 0.0f64;
     // -1 is an untimed warm-up round for caches / branch predictors.
     for round in -1i64..rounds as i64 {
-        for k in 0..3u64 {
+        for k in 0..2u64 {
             let start = Instant::now();
             let mut check = 0.0f64;
-            match (round.max(0) as u64 + k) % 3 {
-                0 => {
-                    for (t, b) in systems.iter().zip(&rhs) {
-                        solver.refactor(t, &mut pw).expect("steady-state refactor");
-                        let x = solver.solve(b).expect("steady-state solve");
-                        check += x[0];
-                    }
-                    if round >= 0 {
-                        warm_round = warm_round.min(start.elapsed().as_secs_f64());
-                        warm_check = check;
-                    }
+            if (round.max(0) as u64 + k).is_multiple_of(2) {
+                for (t, b) in systems.iter().zip(&rhs) {
+                    solver.refactor(t).expect("steady-state refactor");
+                    let x = solver.solve(b).expect("steady-state solve");
+                    check += x[0];
                 }
-                1 => {
-                    // Cold baseline: fresh factor (plan + pool) per system.
-                    for (t, b) in systems.iter().zip(&rhs) {
-                        let cold = factor_with(t, &req);
-                        let x = cold.solve(b).expect("cold solve");
-                        check += x[0];
-                    }
-                    if round >= 0 {
-                        cold_round = cold_round.min(start.elapsed().as_secs_f64());
-                        cold_check = check;
-                    }
+                if round >= 0 {
+                    warm_round = warm_round.min(start.elapsed().as_secs_f64());
+                    warm_check = check;
                 }
-                _ => {
-                    // Per-call-allocation baseline: same plan, no pooling.
-                    for (t, b) in systems.iter().zip(&rhs) {
-                        let mut pw = PlanWorkspace::bypass();
-                        let f = plan.execute(t, &mut pw).expect("per-call factorization");
-                        let x = solve_factorization(&f, b);
-                        check += x[0];
-                        if round >= 0 {
-                            percall_total_allocs += pw.allocations();
-                        }
-                    }
-                    if round >= 0 {
-                        percall_round = percall_round.min(start.elapsed().as_secs_f64());
-                        percall_check = check;
-                    }
+            } else {
+                // Cold baseline: fresh factor (plan + pool) per system.
+                for (t, b) in systems.iter().zip(&rhs) {
+                    let cold = factor_with(t, &req);
+                    let x = cold.solve(b).expect("cold solve");
+                    check += x[0];
+                }
+                if round >= 0 {
+                    cold_round = cold_round.min(start.elapsed().as_secs_f64());
+                    cold_check = check;
                 }
             }
         }
     }
 
-    let allocations = pw.allocations();
-    let high_water = pw.high_water_elems();
-    let percall_allocs_per_cycle = percall_total_allocs / iters as u64;
-    let cold_allocs_per_cycle = {
-        let mut cold = PlanWorkspace::new();
-        let _f = plan
-            .execute(&systems[0], &mut cold)
-            .expect("cold factorization");
-        cold.allocations()
-    };
-    assert_eq!(
-        allocations, 0,
-        "n={n}: warm steady-state loop must be allocation-free (saw {allocations} pool misses)"
-    );
     assert!(
         (warm_check - cold_check).abs() <= 1e-9 * warm_check.abs().max(1.0),
         "n={n}: warm and cold paths disagree: {warm_check} vs {cold_check}"
-    );
-    assert!(
-        (warm_check - percall_check).abs() <= 1e-9 * warm_check.abs().max(1.0),
-        "n={n}: warm and per-call paths disagree: {warm_check} vs {percall_check}"
     );
 
     SizeResult {
@@ -188,10 +118,7 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
         iters,
         warm_round,
         cold_round,
-        percall_round,
-        high_water,
-        cold_allocs_per_cycle,
-        percall_allocs_per_cycle,
+        allocs_per_cycle,
         per_factor_flops,
     }
 }
@@ -204,10 +131,10 @@ fn bench_size(m: usize, p: usize, rounds: usize) -> SizeResult {
 /// itself would pick — so regions too small to recoup a dispatch run
 /// inline instead of being fanned out at a loss (the old pinned
 /// `min_work: 1` lost ~40% at n = 64 / 2 threads to exactly that).
-/// Asserts the pooled warm path stays allocation-free, produces
-/// bitwise-identical factors, and never drops below 0.95x sequential
-/// at the small-n point, then emits one `@@BENCH` record per thread
-/// count with the `threads` / `speedup_vs_seq` fields.
+/// Asserts the pooled warm path produces bitwise-identical factors and
+/// never drops below 0.95x sequential at the small-n point, then emits
+/// one `@@BENCH` record per thread count with the `threads` /
+/// `speedup_vs_seq` fields.
 fn bench_exec_sweep(m: usize, p: usize, rounds: usize, assert_speedup_floor: bool) {
     let n = m * p;
     let systems: Vec<_> = (0..SYSTEMS as u64)
@@ -246,32 +173,19 @@ fn bench_exec_sweep(m: usize, p: usize, rounds: usize, assert_speedup_floor: boo
         let mut solver = Factor::from_plan(&systems[0], plan, RefineOptions::default())
             .expect("sweep factorization");
         let round_flops = (solver.plan().predicted_flops() * SYSTEMS as f64) as u64;
-        let mut pw = PlanWorkspace::new();
-        solver
-            .refactor(&systems[1], &mut pw)
-            .expect("sweep warm-up");
-        pw.reset_stats();
+        solver.refactor(&systems[1]).expect("sweep warm-up");
         let mut best = f64::INFINITY;
         let mut x0 = Vec::new();
         for round in -1i64..rounds as i64 {
             let start = Instant::now();
             for (t, b) in systems.iter().zip(&rhs) {
-                solver.refactor(t, &mut pw).expect("sweep refactor");
+                solver.refactor(t).expect("sweep refactor");
                 x0 = solver.solve(b).expect("sweep solve");
             }
             if round >= 0 {
                 best = best.min(start.elapsed().as_secs_f64());
             }
         }
-        // The zero-allocation invariant must survive the pooled path:
-        // parallel strips draw from per-worker thread-local scratch,
-        // never from the plan workspace.
-        let allocs = pw.allocations();
-        assert_eq!(
-            allocs, 0,
-            "n={n} threads={threads}: pooled warm loop must stay \
-             allocation-free (saw {allocs} pool misses)"
-        );
         if threads == 1 {
             seq_round = best;
             seq_x0 = x0.clone();
@@ -310,7 +224,7 @@ fn bench_exec_sweep(m: usize, p: usize, rounds: usize, assert_speedup_floor: boo
     }
     println!(
         "exec sweep: n = {n}, threads {sweep:?}, min_work {min_work} \
-         (rate-derived) — pooled path allocation-free, bitwise equal to sequential"
+         (rate-derived) — pooled path bitwise equal to sequential"
     );
 }
 
@@ -348,10 +262,7 @@ fn bench_precision_sweep(m: usize, p: usize, rounds: usize) {
         };
         let mut solver = factor_with(&systems[0], &req);
         let round_flops = (solver.plan().predicted_flops() * SYSTEMS as f64) as u64;
-        let mut pw = PlanWorkspace::new();
-        solver
-            .refactor(&systems[1], &mut pw)
-            .expect("precision warm-up");
+        solver.refactor(&systems[1]).expect("precision warm-up");
         let iters0 = metrics::total(Counter::RefineIterations);
         let stalls0 = metrics::total(Counter::MixedStallFallbacks);
         let mut best = f64::INFINITY;
@@ -359,7 +270,7 @@ fn bench_precision_sweep(m: usize, p: usize, rounds: usize) {
         for round in -1i64..rounds as i64 {
             let start = Instant::now();
             for (t, b) in systems.iter().zip(&rhs) {
-                solver.refactor(t, &mut pw).expect("precision refactor");
+                solver.refactor(t).expect("precision refactor");
                 let x = solver.solve(b).expect("precision solve");
                 assert!(x[0].is_finite(), "precision {precision:?} produced NaN");
             }
@@ -402,7 +313,7 @@ fn bench_precision_sweep(m: usize, p: usize, rounds: usize) {
 /// Batched-dispatch throughput: `factor_batch` over the system stream
 /// and `solve_batch` over a many-column RHS, against their looped
 /// equivalents on the same plan. The batched paths amortize pool
-/// dispatch and workspace warm-up per *batch* instead of per item.
+/// dispatch per *batch* instead of per item.
 fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
     let n = m * p;
     let systems: Vec<_> = (0..SYSTEMS as u64)
@@ -415,8 +326,7 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
     };
     let plan = FactorPlan::new(&systems[0], &req).expect("batch plan");
 
-    // factor_batch vs a loop of single executes (one warm workspace,
-    // the same arithmetic).
+    // factor_batch vs a loop of single executes (the same arithmetic).
     let mut batch_best = f64::INFINITY;
     let mut loop_best = f64::INFINITY;
     for round in -1i64..rounds as i64 {
@@ -427,9 +337,8 @@ fn bench_batch(m: usize, p: usize, rhs_cols: usize, rounds: usize) {
         }
         drop(fs);
         let start = Instant::now();
-        let mut pw = PlanWorkspace::new();
         for t in &systems {
-            let f = plan.execute(t, &mut pw).expect("looped factor");
+            let f = plan.execute(t).expect("looped factor");
             drop(f);
         }
         if round >= 0 {
@@ -511,7 +420,7 @@ fn main() {
         .map(|&p| {
             let n = m * p;
             // Small sizes have fast rounds, so buy extra samples where
-            // the assertion below needs the tightest min.
+            // the per-cycle fixed cost is the largest share.
             let rounds = if n <= 32 {
                 200
             } else if n <= 64 {
@@ -522,32 +431,6 @@ fn main() {
             bench_size(m, p, rounds)
         })
         .collect();
-
-    // The headline assertion lives at the smallest size, where the
-    // per-cycle fixed cost (allocations + zero-fills) is a measurable
-    // fraction of the cycle. Larger sizes only need to stay sane.
-    let head = &results[0];
-    assert!(
-        head.warm_round < head.percall_round,
-        "n={}: warm path ({:.6}s/round) must beat the per-call-allocation \
-         baseline ({:.6}s/round)",
-        head.n,
-        head.warm_round,
-        head.percall_round
-    );
-    // At larger sizes the paths converge (flops dominate), so this is
-    // only a catastrophic-regression tripwire: generous enough that a
-    // noisy-neighbor burst on a shared host cannot fire it spuriously.
-    for r in &results[1..] {
-        assert!(
-            r.warm_round < 1.25 * r.percall_round,
-            "n={}: warm path ({:.6}s/round) regressed more than 25% against \
-             the per-call-allocation baseline ({:.6}s/round)",
-            r.n,
-            r.warm_round,
-            r.percall_round
-        );
-    }
 
     println!(
         "steady state: m = {m}, n in {:?}, {SYSTEMS} systems per round, best round kept",
@@ -560,23 +443,14 @@ fn main() {
             [
                 vec![
                     format!("{}", r.n),
-                    "warm (plan + workspace reuse)".into(),
+                    "warm (refactor under one plan)".into(),
                     ms(r.warm_round / cycles),
-                    "0".into(),
-                    format!("{:.2}x", r.percall_round / r.warm_round),
+                    format!("{:.2}x", r.cold_round / r.warm_round),
                 ],
                 vec![
                     String::new(),
                     "cold (fresh factor per system)".into(),
                     ms(r.cold_round / cycles),
-                    format!("{}", r.cold_allocs_per_cycle),
-                    format!("{:.2}x", r.percall_round / r.cold_round),
-                ],
-                vec![
-                    String::new(),
-                    "per-call allocation (no pool)".into(),
-                    ms(r.percall_round / cycles),
-                    format!("{}", r.percall_allocs_per_cycle),
                     "1.00x".into(),
                 ],
             ]
@@ -584,17 +458,13 @@ fn main() {
         .collect();
     print_table(
         "steady-state factor/solve",
-        &["n", "path", "per cycle (ms)", "allocs/cycle", "vs per-call"],
+        &["n", "path", "per cycle (ms)", "vs cold"],
         &rows,
     );
     for r in &results {
         println!(
-            "n = {}: workspace high-water {} elements; warm speedup {:.2}x \
-             vs per-call, {:.2}x vs cold factor",
-            r.n,
-            r.high_water,
-            r.percall_round / r.warm_round,
-            r.cold_round / r.warm_round
+            "n = {}: {} scratch pool misses per factorization",
+            r.n, r.allocs_per_cycle
         );
     }
 
@@ -609,9 +479,6 @@ fn main() {
                 ("n", r.n as f64),
                 ("m", r.m as f64),
                 ("iters", r.iters as f64),
-                ("allocations", 0.0),
-                ("high_water_elems", r.high_water as f64),
-                ("speedup_vs_percall", r.percall_round / r.warm_round),
                 ("speedup_vs_cold", r.cold_round / r.warm_round),
             ],
         );
@@ -623,18 +490,7 @@ fn main() {
                 ("n", r.n as f64),
                 ("m", r.m as f64),
                 ("iters", r.iters as f64),
-                ("allocs_per_cycle", r.cold_allocs_per_cycle as f64),
-            ],
-        );
-        emit_bench(
-            "steady_state_percall",
-            r.percall_round * rounds as f64,
-            total_flops,
-            &[
-                ("n", r.n as f64),
-                ("m", r.m as f64),
-                ("iters", r.iters as f64),
-                ("allocs_per_cycle", r.percall_allocs_per_cycle as f64),
+                ("allocs_per_cycle", r.allocs_per_cycle as f64),
             ],
         );
     }

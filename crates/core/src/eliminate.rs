@@ -24,14 +24,12 @@
 //! layout is slower (DESIGN.md §7).
 //!
 //! The kernels share the panel / reflector / diagonal normalization
-//! machinery and thread every working buffer through a caller-owned
-//! [`Workspace`] + [`EngineScratch`] pair so a warm engine (one that
-//! has already factored a same-shaped system) performs **zero heap
-//! allocations inside the elimination loop**. The public `factor_spd`
-//! / `factor_indefinite` entry points are thin wrappers that run the
-//! same kernels with fresh state — the plan/execute path is
-//! bitwise-identical to them because pooled buffers are zero-filled on
-//! checkout, exactly like the fresh allocations they replaced.
+//! machinery. Each factorization gets one fresh [`Workspace`] and one
+//! `EngineScratch` (`eliminate_spd` makes its own; `factor_indefinite`
+//! shares one pair across its backtracking passes): the first step
+//! allocates the working buffers and the other `p − 2` steps reuse
+//! them, since the trailing extent only shrinks. Nothing is carried
+//! from one factorization to the next.
 
 use crate::indefinite::{IndefFactor, IndefOptions, Perturbation};
 use crate::panel::{factor_panel_into, PanelScratch};
@@ -40,18 +38,17 @@ use crate::rep::BlockReflector;
 use crate::schur::SchurOptions;
 use crate::{Error, Result};
 use bs_matrix::ldlt::Signature;
-use bs_matrix::{MatRef, Matrix, Scalar, Workspace};
+use bs_matrix::{Matrix, Scalar, Workspace};
 use bs_probe::metrics::{self, Counter};
 use bs_probe::stability;
 use bs_toeplitz::{build_generator, SymBlockToeplitz};
 use std::borrow::Cow;
 
-/// Reusable engine state: the per-chunk block reflectors, the panel
-/// scratch, and the per-column buffers of the indefinite kernel. One
-/// instance per plan/solver; fresh instances reproduce the historical
-/// allocate-per-call behavior exactly.
+/// Engine state one factorization reuses across its steps: the
+/// per-chunk block reflectors, the panel scratch, and the per-column
+/// buffers of the indefinite kernel.
 #[derive(Debug)]
-pub struct EngineScratch<T: Scalar = f64> {
+pub(crate) struct EngineScratch<T: Scalar = f64> {
     /// Panel-factorization scratch (pivot reflector, source column,
     /// representation-update buffers).
     panel: PanelScratch<T>,
@@ -63,11 +60,6 @@ pub struct EngineScratch<T: Scalar = f64> {
     u_low: Vec<T>,
     /// Trailing-update column buffer (indefinite kernel).
     low: Vec<T>,
-    /// Pool for the indefinite factor's signature vector `d`: retired
-    /// factors hand theirs back so warm refactors reuse the storage.
-    sig_pool: Vec<i8>,
-    /// Pool for the perturbation log, recycled the same way.
-    pert_pool: Vec<Perturbation>,
 }
 
 impl<T: Scalar> Default for EngineScratch<T> {
@@ -78,28 +70,29 @@ impl<T: Scalar> Default for EngineScratch<T> {
             refl: PivotReflector::empty(),
             u_low: Vec::new(),
             low: Vec::new(),
-            sig_pool: Vec::new(),
-            pert_pool: Vec::new(),
         }
     }
 }
 
-impl<T: Scalar> EngineScratch<T> {
-    /// Take back a retired indefinite factor's owned vectors so the
-    /// next `eliminate_indefinite` run reuses the storage instead of
-    /// allocating.
-    pub(crate) fn recycle_indefinite(&mut self, d: Vec<i8>, perturbations: Vec<Perturbation>) {
-        if d.capacity() > self.sig_pool.capacity() {
-            self.sig_pool = d;
-        }
-        if perturbations.capacity() > self.pert_pool.capacity() {
-            self.pert_pool = perturbations;
-        }
+/// Check an algorithmic block size `m_s` for an order-`n` system with
+/// structural block size `m`: it must be a positive multiple of `m`
+/// and divide `n`.
+pub(crate) fn check_block_size(n: usize, m: usize, ms: usize) -> Result<()> {
+    if ms == 0 || !ms.is_multiple_of(m) {
+        return Err(Error::InvalidOptions(format!(
+            "m_s = {ms} is not a positive multiple of m = {m}"
+        )));
     }
+    if !n.is_multiple_of(ms) {
+        return Err(Error::InvalidOptions(format!(
+            "m_s = {ms} does not divide n = {n}"
+        )));
+    }
+    Ok(())
 }
 
-/// Validate and apply an algorithmic-block-size override: `m_s` must be
-/// a positive multiple of the structural block size and divide `n`.
+/// Validate and apply an algorithmic-block-size override (see
+/// [`check_block_size`]).
 pub(crate) fn retiled<'a, T: Scalar>(
     t: &'a SymBlockToeplitz<T>,
     block_size: Option<usize>,
@@ -107,49 +100,33 @@ pub(crate) fn retiled<'a, T: Scalar>(
     let Some(ms) = block_size else {
         return Ok(Cow::Borrowed(t));
     };
-    if ms == 0 || ms % t.block_size() != 0 {
-        return Err(Error::InvalidOptions(format!(
-            "m_s = {ms} is not a positive multiple of m = {}",
-            t.block_size()
-        )));
-    }
-    if !t.order().is_multiple_of(ms) {
-        return Err(Error::InvalidOptions(format!(
-            "m_s = {ms} does not divide n = {}",
-            t.order()
-        )));
-    }
+    check_block_size(t.order(), t.block_size(), ms)?;
     Ok(Cow::Owned(t.retile(ms)))
 }
 
-/// Receiver for emitted factor block rows: `sink(s, m, n, row)` gets
-/// block-row `s` of the factor at algorithmic block size `m`.
-pub(crate) type RowSink<'a, T> = dyn FnMut(usize, usize, usize, MatRef<'_, T>) + 'a;
-
 /// SPD elimination kernel (phases 1–3 of §6). `t_ref` must already be
-/// retiled to the algorithmic block size (see [`retiled`]). Emits each
-/// factor block row through `sink(s, m, n, row)`; rows are *not*
-/// sign-normalized. Returns `(m, p, comm_words_per_step)`.
+/// retiled to the algorithmic block size (see [`retiled`]). Writes each
+/// factor block row into the upper triangle of the `n × n` matrix `r`;
+/// rows are *not* sign-normalized. Returns `(m, p, comm_words_per_step)`.
 ///
 /// The working generator is one stacked `2m × n` buffer checked out of
-/// `ws` — the layout every shard rank packs — so the pivot panel is
-/// factored in place and each trailing update is one reflector
-/// application over a contiguous `2m × q` view. The buffer and every
-/// trailing-update temporary go back to `ws` before this function
-/// exits, even on error, so a warm workspace makes the whole loop
-/// allocation-free.
+/// this factorization's own [`Workspace`] — the layout every shard rank
+/// packs — so the pivot panel is factored in place and each trailing
+/// update is one reflector application over a contiguous `2m × q`
+/// view. Later steps reuse what the first one checked out, and every
+/// buffer is back in the arena before this function exits, even on
+/// error.
 pub(crate) fn eliminate_spd<T: Scalar>(
     t_ref: &SymBlockToeplitz<T>,
     opts: &SchurOptions,
-    ws: &mut Workspace<T>,
-    scratch: &mut EngineScratch<T>,
-    sink: &mut RowSink<'_, T>,
+    r: &mut Matrix<T>,
 ) -> Result<(usize, usize, usize)> {
     let m = t_ref.block_size();
     let p = t_ref.num_blocks();
     let n = m * p;
     let _span = bs_probe::span!("factor_spd", n = n, m = m, p = p);
-    let ws_entry = ws.outstanding();
+    let mut ws = Workspace::new();
+    let mut scratch = EngineScratch::default();
 
     let gen = build_generator(t_ref)?;
     if !gen.is_spd_signature() {
@@ -165,7 +142,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
     g.mt().copy_from(gen.data.rf());
 
     // R block row 0 is the untransformed upper generator half.
-    sink(0, m, n, g.sub(0, 0, m, n));
+    r.sub_mut(0, 0, m, n).copy_from(g.sub(0, 0, m, n));
 
     let mut comm_words = 0usize;
     let scale = t_ref.norm_inf().max(1.0);
@@ -210,7 +187,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
             k_block,
             &mut scratch.reps,
             &mut scratch.panel,
-            ws,
+            &mut ws,
         ) {
             failure = Some(e);
             break 'steps;
@@ -238,7 +215,7 @@ pub(crate) fn eliminate_spd<T: Scalar>(
             };
             let apply_span = bs_probe::span!("apply_rep", step = s, cols = trail);
             for rep in &scratch.reps {
-                rep.apply_ws(g.sub_mut(0, (s + 1) * m, 2 * m, trail), &opts.exec, ws);
+                rep.apply(g.sub_mut(0, (s + 1) * m, 2 * m, trail), &opts.exec, &mut ws);
             }
             drop(apply_span);
             if bs_probe::trace::is_enabled() {
@@ -251,7 +228,8 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         }
 
         // Emit R block row s.
-        sink(s, m, n, g.sub(0, s * m, m, width));
+        r.sub_mut(s * m, s * m, m, width)
+            .copy_from(g.sub(0, s * m, m, width));
 
         if bs_probe::trace::is_enabled() {
             bs_probe::event!(
@@ -270,9 +248,9 @@ pub(crate) fn eliminate_spd<T: Scalar>(
     }
 
     ws.give_matrix(g);
-    // paranoid: every scratch checkout must be back in the pool here,
-    // success or failure.
-    ws.contract_region("eliminate_spd", ws_entry, 0);
+    // paranoid: the arena is ours and received no donations, so every
+    // checkout must be back in it here, success or failure.
+    ws.contract_quiescent("eliminate_spd");
     match failure {
         Some(e) => Err(e),
         None => Ok((m, p, comm_words)),
@@ -291,9 +269,8 @@ pub(crate) enum Attempt<T: Scalar = f64> {
 /// pivot policy, per-reflector trailing updates, explicit-shift
 /// generator layout. `schedule[i]` is the δ used for the i-th
 /// perturbation. The factor matrix `R` is checked out of `ws` (and
-/// returned to it on every non-`Done` exit), so a refactor loop that
-/// recycles retired factors into the pool runs warm passes
-/// allocation-free apart from the generator build.
+/// returned to it on every non-`Done` exit), so a backtracking pass
+/// under a longer schedule reuses the previous pass's `R`.
 pub(crate) fn eliminate_indefinite<T: Scalar>(
     t: &SymBlockToeplitz<T>,
     opts: &IndefOptions,
@@ -306,8 +283,8 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
     let n = m * p;
     let _span = bs_probe::span!("factor_indefinite", n = n, m = m, p = p);
     let ws_entry = ws.outstanding();
-    let mut perturbations: Vec<Perturbation> = std::mem::take(&mut scratch.pert_pool);
-    perturbations.clear();
+    // bs-lint: allow(no-alloc-hot) -- the factor's own signature D and perturbation log, returned inside it
+    let (mut d, mut perturbations): (Vec<i8>, Vec<Perturbation>) = (vec![1; n], Vec::new());
     let next_delta = |perts: &[Perturbation]| -> Option<f64> { schedule.get(perts.len()).copied() };
 
     // Generator; if the leading block itself has a singular minor,
@@ -326,7 +303,6 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
                 });
             }
             let Some(delta) = next_delta(&perturbations) else {
-                scratch.pert_pool = perturbations;
                 return Ok(Attempt::NeedsLongerSchedule);
             };
             // bs-lint: allow(no-alloc-hot) -- singular-leading-minor repair, runs at most once per factorization
@@ -355,9 +331,6 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
     let w_sum: i64 = w.0.iter().map(|&x| i64::from(x)).sum();
 
     let mut r = ws.take_matrix(n, n);
-    let mut d = std::mem::take(&mut scratch.sig_pool);
-    d.clear();
-    d.resize(n, 1i8);
     // Emit block row 0.
     for j in 0..n {
         for i in 0..m {
@@ -474,8 +447,6 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
                                     Some(dv) => dv,
                                     None => {
                                         ws.give_matrix(r);
-                                        scratch.sig_pool = d;
-                                        scratch.pert_pool = perturbations;
                                         ws.contract_region("eliminate_indefinite", ws_entry, 0);
                                         return Ok(Attempt::NeedsLongerSchedule);
                                     }

@@ -13,14 +13,14 @@
 //! factor's embedded [`WorkspacePool`]: a serving loop stages its
 //! right-hand sides and solutions in pooled buffers, so the steady
 //! state request path performs no heap allocation. The one `&mut self`
-//! method, [`Factor::refactor`], re-factors a same-shaped system with
-//! scratch from a caller-owned [`PlanWorkspace`], so a warm refactor
-//! loop performs no heap allocation inside the elimination either.
+//! method, [`Factor::refactor`], re-factors a same-shaped system under
+//! the same plan; like every factorization it draws its scratch from
+//! one arena of its own that its elimination steps reuse.
 //!
 //! [`Arc`]: std::sync::Arc
 
 use crate::indefinite::{IndefFactor, IndefOptions};
-use crate::plan::{FactorPlan, PlanWorkspace, Precision};
+use crate::plan::{FactorPlan, Precision};
 use crate::refine::{solve_refined, RefineOperator, RefineOptions, RefineResult};
 use crate::schur::{SchurOptions, SpdFactor};
 use crate::solve::solve_rtdr_in_place;
@@ -80,19 +80,18 @@ pub enum Factorization {
 /// assert!((x[3] - x_true[3]).abs() < 1e-10);
 /// ```
 ///
-/// For a stream of same-shaped systems, keep one factor and one
-/// [`PlanWorkspace`] and [`refactor`](Self::refactor): the plan and the
-/// workspace are reused and the warm elimination loop allocates nothing.
+/// For a stream of same-shaped systems, keep one factor and
+/// [`refactor`](Self::refactor) it: the plan and the operator copy are
+/// reused.
 ///
 /// ```
-/// use bs_core::{Factor, PlanWorkspace};
+/// use bs_core::Factor;
 /// use bs_toeplitz::workloads;
 ///
 /// let mut f = Factor::new(&workloads::kms(32, 0.6)).unwrap();
-/// let mut pw = PlanWorkspace::new();
 /// for rho in [0.5f64, 0.7, 0.8] {
 ///     let t = workloads::kms(32, rho);
-///     f.refactor(&t, &mut pw).unwrap();
+///     f.refactor(&t).unwrap();
 ///     let (b, x_true) = workloads::rhs_for_ones(&t);
 ///     let x = f.solve(&b).unwrap();
 ///     assert!((x[0] - x_true[0]).abs() < 1e-8);
@@ -148,14 +147,14 @@ impl Factor {
         Self::from_plan(t, plan, RefineOptions::default())
     }
 
-    /// Factor `t` with a pre-built plan, using a throwaway workspace.
+    /// Factor `t` with a pre-built plan.
     pub fn from_plan(
         t: &SymBlockToeplitz,
         plan: FactorPlan,
         refine: RefineOptions,
     ) -> Result<Self> {
         let _span = bs_probe::span!("factor", n = t.order(), m = t.block_size());
-        let factorization = plan.execute(t, &mut PlanWorkspace::new())?;
+        let factorization = plan.execute(t)?;
         Ok(Factor {
             t: t.clone(),
             refine_op: prepare_refinement(t, &plan, &factorization),
@@ -168,20 +167,16 @@ impl Factor {
     }
 
     /// Re-factor a new system of the *same shape* (order and block
-    /// size) under the same plan, drawing scratch from `pw`. The
-    /// retired factorization's storage goes back into `pw` and the
-    /// stored matrix copy is overwritten in place, so from the second
-    /// refactor against one workspace on, the whole cycle performs
-    /// zero heap allocations (observable via
-    /// [`PlanWorkspace::allocations`]).
+    /// size) under the same plan. The stored matrix copy is overwritten
+    /// in place; the factorization allocates its own factor and
+    /// scratch, like [`FactorPlan::execute`].
     ///
     /// A factor whose solves refine also prepares its refinement
-    /// operator again (`‖T‖∞` and the FFT symbols), which allocates
-    /// outside the workspace.
+    /// operator again (`‖T‖∞` and the FFT symbols).
     ///
     /// On error the factor is left unchanged (still holding the
     /// previous system's factorization).
-    pub fn refactor(&mut self, t: &SymBlockToeplitz, pw: &mut PlanWorkspace) -> Result<()> {
+    pub fn refactor(&mut self, t: &SymBlockToeplitz) -> Result<()> {
         if t.order() != self.t.order() {
             return Err(Error::DimensionMismatch {
                 context: "refactor matrix order",
@@ -197,16 +192,11 @@ impl Factor {
             });
         }
         let _span = bs_probe::span!("refactor", n = t.order(), m = t.block_size());
-        let new_f = self.plan.execute(t, pw)?;
+        let new_f = self.plan.execute(t)?;
         self.refine_op = prepare_refinement(t, &self.plan, &new_f);
         self.fallback.take();
-        pw.recycle(std::mem::replace(&mut self.factorization, new_f));
+        self.factorization = new_f;
         self.t.clone_data_from(t);
-        bs_probe::event!(
-            "refactor_done",
-            allocations = pw.allocations(),
-            high_water_elems = pw.high_water_elems(),
-        );
         Ok(())
     }
 
@@ -393,8 +383,7 @@ impl Factor {
             Some(f) => f,
             None => {
                 let _span = bs_probe::span!("mixed_fallback_refactor", n = self.t.order());
-                let mut pw = PlanWorkspace::new();
-                let f = self.plan.execute_f64(&self.t, &mut pw)?;
+                let f = self.plan.execute_f64(&self.t)?;
                 self.fallback.get_or_init(|| f)
             }
         };
@@ -714,10 +703,9 @@ mod tests {
             })
         ));
         // Refactor with a different order, then a different block size.
-        let mut pw = PlanWorkspace::new();
         let t2 = workloads::random_spd_scalar(10, 1);
         assert!(matches!(
-            f.refactor(&t2, &mut pw),
+            f.refactor(&t2),
             Err(Error::DimensionMismatch {
                 context: "refactor matrix order",
                 expected: 8,
@@ -726,7 +714,7 @@ mod tests {
         ));
         let t3 = workloads::random_spd_block(2, 4, 1);
         assert!(matches!(
-            f.refactor(&t3, &mut pw),
+            f.refactor(&t3),
             Err(Error::DimensionMismatch {
                 context: "refactor block size",
                 expected: 1,
@@ -760,10 +748,9 @@ mod tests {
         };
         let (b, _) = workloads::rhs_for_ones(&t);
         let x0 = f.solve(&b).unwrap();
-        let mut pw = PlanWorkspace::new();
         let singular = workloads::paper_singular_minor_example();
         assert!(matches!(
-            f.refactor(&singular, &mut pw),
+            f.refactor(&singular),
             Err(Error::SingularMinor { .. })
         ));
         match f.factorization() {
@@ -781,9 +768,8 @@ mod tests {
         // checkout, so the arithmetic paths are identical).
         let t1 = workloads::random_spd_block(2, 6, 11);
         let t2 = workloads::random_spd_block(2, 6, 12);
-        let mut pw = PlanWorkspace::new();
         let mut warm = Factor::new(&t1).unwrap();
-        warm.refactor(&t2, &mut pw).unwrap();
+        warm.refactor(&t2).unwrap();
         let fresh = Factor::new(&t2).unwrap();
         match (warm.factorization(), fresh.factorization()) {
             (Factorization::Spd(a), Factorization::Spd(b)) => {
@@ -794,9 +780,8 @@ mod tests {
         // And through the indefinite path too.
         let i1 = workloads::random_indefinite_scalar(12, 5);
         let i2 = workloads::random_indefinite_scalar(12, 6);
-        let mut pw = PlanWorkspace::new();
         let mut warm = Factor::new(&i1).unwrap();
-        warm.refactor(&i2, &mut pw).unwrap();
+        warm.refactor(&i2).unwrap();
         let fresh = Factor::new(&i2).unwrap();
         match (warm.factorization(), fresh.factorization()) {
             (Factorization::Indefinite(a), Factorization::Indefinite(b)) => {
@@ -805,30 +790,6 @@ mod tests {
             }
             other => panic!("expected indefinite factorizations, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn warm_refactor_performs_zero_workspace_allocations() {
-        let systems: Vec<_> = (0..4)
-            .map(|s| workloads::random_spd_block(2, 8, 40 + s))
-            .collect();
-        let mut f = Factor::new(&systems[0]).unwrap();
-        let mut pw = PlanWorkspace::new();
-        // The first refactor warms the workspace (the retired factor's
-        // storage only goes back into it as it retires).
-        f.refactor(&systems[1], &mut pw).unwrap();
-        pw.reset_stats();
-        for t in &systems[2..] {
-            f.refactor(t, &mut pw).unwrap();
-            let (b, _) = workloads::rhs_for_ones(t);
-            f.solve(&b).unwrap();
-        }
-        assert_eq!(
-            pw.allocations(),
-            0,
-            "warm refactor+solve cycles must not allocate from the pool"
-        );
-        assert!(pw.high_water_elems() > 0);
     }
 
     /// `‖b − T x‖₂ / (‖T‖∞ ‖x‖₂ + ‖b‖₂)` with the direct product.
@@ -881,7 +842,7 @@ mod tests {
                 .collect(),
         );
         let mut f = mixed(&t1);
-        f.refactor(&t2, &mut PlanWorkspace::new()).unwrap();
+        f.refactor(&t2).unwrap();
         let fallbacks = metrics::local_get(Counter::MixedStallFallbacks);
         for j in 0..3 {
             let b: Vec<f64> = (0..t2.order())

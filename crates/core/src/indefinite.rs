@@ -145,27 +145,14 @@ impl<T: Scalar> IndefFactor<T> {
 /// wasteful, as the paper notes, but rarely needed: a perturbed matrix
 /// generically has no further singular minors). A user-supplied
 /// [`IndefOptions::delta`] disables grading and is used throughout.
+/// The passes share one scratch arena, so a backtrack reuses the
+/// working buffers of the pass before it.
 pub fn factor_indefinite<T: Scalar>(
     t: &SymBlockToeplitz<T>,
     opts: &IndefOptions,
 ) -> Result<IndefFactor<T>> {
-    // Fresh engine state per call (the compatibility entry point);
-    // plan/execute callers hold a warm workspace instead.
     let mut ws = Workspace::new();
     let mut scratch = EngineScratch::default();
-    factor_indefinite_with(t, opts, &mut ws, &mut scratch)
-}
-
-/// [`factor_indefinite`] with caller-owned engine state: the graded
-/// δ-schedule backtracking loop over [`eliminate_indefinite`] passes.
-/// State is reused across schedule attempts (a backtrack does not
-/// re-allocate) and, for plan/execute callers, across factorizations.
-pub(crate) fn factor_indefinite_with<T: Scalar>(
-    t: &SymBlockToeplitz<T>,
-    opts: &IndefOptions,
-    ws: &mut Workspace<T>,
-    scratch: &mut EngineScratch<T>,
-) -> Result<IndefFactor<T>> {
     let eps = f64::EPSILON;
     let max_k = 3usize;
     for k in 1..=max_k {
@@ -175,7 +162,7 @@ pub(crate) fn factor_indefinite_with<T: Scalar>(
                 .map(|i| eps.powf(1.0 / 3f64.powi((k - i) as i32)))
                 .collect(),
         };
-        match eliminate_indefinite(t, opts, &schedule, ws, scratch)? {
+        match eliminate_indefinite(t, opts, &schedule, &mut ws, &mut scratch)? {
             Attempt::Done(f) => return Ok(*f),
             Attempt::NeedsLongerSchedule => continue,
         }

@@ -29,8 +29,12 @@
 //! - [`solve`] — triangular solves with the `Rᵀ D R` factors.
 //! - [`factor`] — [`Factor`], the one factor-and-solve handle:
 //!   automatic SPD/indefinite dispatch, `&self` solves sharable behind
-//!   an `Arc` by concurrent tenants, and warm re-factorization through
-//!   a caller-owned [`PlanWorkspace`].
+//!   an `Arc` by concurrent tenants, and re-factorization of
+//!   same-shaped systems under one plan.
+//!
+//! Scratch lives for one factorization: each driver call draws its
+//! buffers from one fresh arena that its `p − 1` steps reuse, and
+//! nothing is carried across calls.
 
 pub mod contracts;
 pub mod eliminate;
@@ -44,10 +48,9 @@ pub mod rep;
 pub mod schur;
 pub mod solve;
 
-pub use eliminate::EngineScratch;
 pub use factor::{Factor, Factorization};
 pub use indefinite::{factor_indefinite, IndefFactor, IndefOptions, Perturbation};
-pub use plan::{FactorPlan, PlanRequest, PlanWorkspace, Precision};
+pub use plan::{FactorPlan, PlanRequest, Precision};
 pub use refine::{solve_refined, RefineOperator, RefineOptions, RefineResult};
 pub use rep::RepKind;
 pub use schur::{factor_spd, SchurOptions, SpdFactor};

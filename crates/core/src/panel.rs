@@ -107,8 +107,9 @@ pub fn factor_panel_two_level<T: Scalar>(
 /// the chunk [`BlockReflector`]s in `reps` are reused via
 /// [`BlockReflector::reset`] when their shape fits (re-created on a
 /// cold or mismatched call), per-column temporaries live in `scratch`,
-/// and level-3 intra-panel updates draw from `ws`. Warm calls perform
-/// zero heap allocations. The arithmetic is identical to
+/// and level-3 intra-panel updates draw from `ws`. Calls after the
+/// first step of a factorization perform zero heap allocations. The
+/// arithmetic is identical to
 /// [`factor_panel_two_level`] — that function is now this one with
 /// fresh state.
 ///
@@ -215,7 +216,7 @@ pub fn factor_panel_into<T: Scalar>(
         if chunk_end < m {
             // Pivot panels are narrow (≤ m columns); fan-out belongs to
             // the trailing update, not here.
-            rep.apply_ws(
+            rep.apply(
                 panel.sub_mut(0, chunk_end, 2 * m, m - chunk_end),
                 &bs_matrix::ExecPolicy::sequential(),
                 ws,

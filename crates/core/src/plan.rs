@@ -10,24 +10,19 @@
 //! block size by the §6.5 retiling tradeoff under the default
 //! saturating rate model.
 //!
-//! [`FactorPlan::execute`] runs the plan against a concrete matrix
-//! using a caller-owned [`PlanWorkspace`] — the pooled scratch arena
-//! plus engine scratch. The first execution warms the pool; subsequent
-//! executions against same-shaped systems perform zero heap
-//! allocations inside the elimination loop. The SPD kernel is
-//! attempted first and the indefinite kernel (row exchanges + graded
-//! δ-perturbation, §8) is the automatic fallback, exactly like the
-//! historical `factor_spd` → `factor_indefinite` sequence — and
-//! bitwise-identical to it, because pooled buffers are zero-filled on
-//! checkout.
+//! [`FactorPlan::execute`] runs the plan against a concrete matrix: it
+//! calls [`factor_spd`] and, when that meets a non-positive or singular
+//! pivot, [`factor_indefinite`] (row exchanges + graded
+//! δ-perturbation, §8). Each driver call gives its factorization one
+//! fresh scratch arena that the `p − 1` steps reuse.
 
-use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled, EngineScratch};
+use crate::eliminate::check_block_size;
 use crate::factor::Factorization;
-use crate::indefinite::{factor_indefinite_with, IndefFactor, IndefOptions};
+use crate::indefinite::{factor_indefinite, IndefFactor, IndefOptions};
 use crate::rep::RepKind;
-use crate::schur::{SchurOptions, SpdFactor};
+use crate::schur::{factor_spd, SchurOptions};
 use crate::{Error, Result};
-use bs_matrix::{kernel, par, ExecPolicy, Workspace};
+use bs_matrix::{kernel, par, ExecPolicy, Scalar};
 use bs_perfmodel::model::{self, Rep};
 use bs_perfmodel::tradeoff::{self, RateTable};
 use bs_toeplitz::SymBlockToeplitz;
@@ -141,89 +136,6 @@ fn env_precision() -> Option<Precision> {
         .and_then(|v| Precision::parse(&v))
 }
 
-/// Caller-owned execution state for [`FactorPlan::execute`] and
-/// [`crate::Factor::refactor`]: the pooled scratch arena plus the
-/// engine's reusable per-step buffers. Hold one per refactor loop (or
-/// per worker thread) and reuse it across executions — that is what
-/// makes the steady state allocation-free.
-#[derive(Debug, Default)]
-#[must_use]
-pub struct PlanWorkspace {
-    pub(crate) ws: Workspace,
-    pub(crate) scratch: EngineScratch,
-    /// f32 siblings of the arena and engine scratch for the
-    /// low-precision factor stage of [`Precision::F32`] /
-    /// [`Precision::Mixed`] plans. Separate because the pools are
-    /// typed; they stay empty (zero allocation) on pure-f64 plans.
-    pub(crate) ws32: Workspace<f32>,
-    pub(crate) scratch32: EngineScratch<f32>,
-    /// A retired factor matrix from a previous execution, kept whole so
-    /// the next execution can reuse it *without* the pool's zero-fill
-    /// (see [`PlanWorkspace::recycle`]).
-    pub(crate) retired: Option<bs_matrix::Matrix>,
-}
-
-impl PlanWorkspace {
-    /// An empty (cold) workspace; the first execution warms it.
-    pub fn new() -> Self {
-        PlanWorkspace::default()
-    }
-
-    /// A workspace with pooling disabled: every scratch checkout
-    /// allocates per call, reproducing the allocate-per-call behaviour
-    /// the arena replaced. Factors are bitwise-identical either way;
-    /// this exists as a benchmark baseline and A/B switch.
-    pub fn bypass() -> Self {
-        PlanWorkspace {
-            ws: Workspace::bypass(),
-            ws32: Workspace::bypass(),
-            ..PlanWorkspace::default()
-        }
-    }
-
-    /// Cold pool allocations since creation or the last
-    /// [`reset_stats`](Self::reset_stats), summed over the f64 and f32
-    /// arenas.
-    pub fn allocations(&self) -> u64 {
-        self.ws.allocations() + self.ws32.allocations()
-    }
-
-    /// Peak simultaneously checked-out elements (f64 + f32 arenas).
-    pub fn high_water_elems(&self) -> usize {
-        self.ws.high_water_elems() + self.ws32.high_water_elems()
-    }
-
-    /// Zero the allocation / high-water statistics, keeping the pools.
-    pub fn reset_stats(&mut self) {
-        self.ws.reset_stats();
-        self.ws32.reset_stats();
-    }
-
-    /// Take back a retired factorization's storage so the next
-    /// execution reuses it instead of allocating. The triangular factor
-    /// is kept whole and handed back *without* the pool's defensive
-    /// zero-fill: every entry of an emitted factor is deterministically
-    /// overwritten (the staircase emission covers the whole upper
-    /// triangle and the diagonal normalization zeroes the strict lower
-    /// triangle), so prior contents never reach the output. This skips
-    /// an O(n²) memset per warm refactorization — the cost a per-call
-    /// `vec![0.0; n*n]` baseline always pays. An indefinite factor's
-    /// signature vector and perturbation log go back to the engine
-    /// scratch.
-    pub fn recycle(&mut self, f: Factorization) {
-        let r = match f {
-            Factorization::Spd(f) => f.r,
-            Factorization::Indefinite(f) => {
-                self.scratch.recycle_indefinite(f.d, f.perturbations);
-                f.r
-            }
-        };
-        if let Some(old) = self.retired.replace(r) {
-            self.ws.give_matrix(old);
-        }
-    }
-}
-
 /// An executable factorization plan for one system shape. Build with
 /// [`FactorPlan::new`] (cost-model auto-selection for unset fields) or
 /// [`FactorPlan::from_options`] (everything pinned, the path
@@ -320,16 +232,7 @@ impl FactorPlan {
         });
         let (m_s, block_auto) = match req.block_size {
             Some(ms) => {
-                if ms == 0 || !ms.is_multiple_of(m) {
-                    return Err(Error::InvalidOptions(format!(
-                        "m_s = {ms} is not a positive multiple of m = {m}"
-                    )));
-                }
-                if !n.is_multiple_of(ms) {
-                    return Err(Error::InvalidOptions(format!(
-                        "m_s = {ms} does not divide n = {n}"
-                    )));
-                }
+                check_block_size(n, m, ms)?;
                 (ms, false)
             }
             None => match &rates {
@@ -379,16 +282,7 @@ impl FactorPlan {
     ) -> Result<FactorPlan> {
         let (n, m) = (t.order(), t.block_size());
         if let Some(ms) = spd.block_size {
-            if ms == 0 || ms % m != 0 {
-                return Err(Error::InvalidOptions(format!(
-                    "m_s = {ms} is not a positive multiple of m = {m}"
-                )));
-            }
-            if n % ms != 0 {
-                return Err(Error::InvalidOptions(format!(
-                    "m_s = {ms} does not divide n = {n}"
-                )));
-            }
+            check_block_size(n, m, ms)?;
         }
         Ok(Self::assemble(
             n,
@@ -489,23 +383,23 @@ impl FactorPlan {
 
     /// Execute against a concrete matrix of the planned shape: SPD
     /// attempt first, automatic indefinite fallback on
-    /// `NotPositiveDefinite` / `SingularMinor`, all scratch drawn from
-    /// `pw`. [`Precision::F32`] and [`Precision::Mixed`] plans run the
-    /// same sequence at f32 and promote the factor to f64 storage; a
-    /// `Mixed` plan whose f32 stage fails outright (e.g. a minor that
-    /// is singular at f32 resolution) falls back to the full f64
-    /// factorization, counted in `Counter::MixedStallFallbacks`.
-    pub fn execute(&self, t: &SymBlockToeplitz, pw: &mut PlanWorkspace) -> Result<Factorization> {
+    /// `NotPositiveDefinite` / `SingularMinor`. [`Precision::F32`] and
+    /// [`Precision::Mixed`] plans run the same sequence at f32 and
+    /// promote the factor to f64 storage; a `Mixed` plan whose f32
+    /// stage fails outright (e.g. a minor that is singular at f32
+    /// resolution) falls back to the full f64 factorization, counted in
+    /// `Counter::MixedStallFallbacks`.
+    pub fn execute(&self, t: &SymBlockToeplitz) -> Result<Factorization> {
         self.check_shape(t)?;
         match self.precision {
-            Precision::F64 => self.execute_f64(t, pw),
-            Precision::F32 => self.execute_demoted(t, pw),
-            Precision::Mixed => match self.execute_demoted(t, pw) {
+            Precision::F64 => self.execute_f64(t),
+            Precision::F32 => self.execute_demoted(t),
+            Precision::Mixed => match self.execute_demoted(t) {
                 Ok(f) => Ok(f),
                 Err(_) => {
                     bs_probe::metrics::incr(bs_probe::metrics::Counter::MixedStallFallbacks);
                     bs_probe::event!("mixed_factor_fallback", n = self.n, m = self.m);
-                    self.execute_f64(t, pw)
+                    self.execute_f64(t)
                 }
             },
         }
@@ -532,39 +426,22 @@ impl FactorPlan {
     /// The reference f64 execution path — shape checks already done.
     /// Also the target of the mixed-precision stall fallback, which
     /// must bypass the precision dispatch of [`execute`](Self::execute).
-    pub(crate) fn execute_f64(
-        &self,
-        t: &SymBlockToeplitz,
-        pw: &mut PlanWorkspace,
-    ) -> Result<Factorization> {
-        match self.execute_spd(t, pw) {
+    pub(crate) fn execute_f64(&self, t: &SymBlockToeplitz) -> Result<Factorization> {
+        match factor_spd(t, &self.spd) {
             Ok(f) => Ok(Factorization::Spd(f)),
-            // A singular pivot inside the retiled SPD panel solve is the
-            // m_s > m manifestation of a singular leading minor: the
-            // zero lands on a triangular diagonal instead of a pivot
-            // classification, so it surfaces as a kernel error.
-            Err(Error::NotPositiveDefinite { .. })
-            | Err(Error::SingularMinor { .. })
-            | Err(Error::Matrix(bs_matrix::Error::SingularPivot { .. })) => {
-                bs_probe::event!("plan_fallback_indefinite", n = self.n, m = self.m);
-                let f = factor_indefinite_with(t, &self.indefinite, &mut pw.ws, &mut pw.scratch)?;
-                Ok(Factorization::Indefinite(f))
-            }
-            Err(e) => Err(e),
+            Err(e) => self
+                .indefinite_fallback(t, e)
+                .map(Factorization::Indefinite),
         }
     }
 
     /// Low-precision execution: demote the operator to f32, run the
-    /// same SPD-then-indefinite sequence on the f32 arena, and promote
-    /// the factor to f64 storage. The result is always
+    /// same SPD-then-indefinite sequence on it, and promote the factor
+    /// to f64 storage. The result is always
     /// [`Factorization::Indefinite`] (an SPD success promotes with
     /// `d = +1` and no perturbations) because the solve side feeds it
     /// to [`crate::solve_refined`], which takes the `Rᵀ D R` form.
-    fn execute_demoted(
-        &self,
-        t: &SymBlockToeplitz,
-        pw: &mut PlanWorkspace,
-    ) -> Result<Factorization> {
+    fn execute_demoted(&self, t: &SymBlockToeplitz) -> Result<Factorization> {
         let _span = bs_probe::span!("factor_f32", n = self.n, m = self.m);
         // Geometrically decaying generators drop below the f32 normal
         // range mid-elimination; without flushing, hardware subnormal
@@ -573,82 +450,60 @@ impl FactorPlan {
         // rounding backward error the refinement loop already absorbs.
         let _ftz = par::FlushSubnormals::engage();
         let t32 = t.convert::<f32>();
-        match self.execute_spd32(&t32, pw) {
-            Ok(f) => Ok(Factorization::Indefinite(f)),
-            Err(Error::NotPositiveDefinite { .. })
-            | Err(Error::SingularMinor { .. })
-            | Err(Error::Matrix(bs_matrix::Error::SingularPivot { .. })) => {
-                bs_probe::event!("plan_fallback_indefinite", n = self.n, m = self.m);
-                let f = factor_indefinite_with(
-                    &t32,
-                    &self.indefinite,
-                    &mut pw.ws32,
-                    &mut pw.scratch32,
-                )?;
-                Ok(Factorization::Indefinite(IndefFactor {
-                    r: f.r.convert::<f64>(),
-                    d: f.d,
-                    perturbations: f.perturbations,
-                    exchanges: f.exchanges,
-                    max_reflector_norm: f.max_reflector_norm,
-                    m: f.m,
-                    p: f.p,
-                }))
-            }
-            Err(e) => Err(e),
-        }
+        let f = match factor_spd(&t32, &self.spd) {
+            Ok(f) => IndefFactor {
+                r: f.r,
+                d: vec![1; self.n],
+                perturbations: Vec::new(),
+                exchanges: 0,
+                // No perturbation fired, so reflector norms are O(1).
+                max_reflector_norm: 1.0,
+                m: f.m,
+                p: f.p,
+            },
+            Err(e) => self.indefinite_fallback(&t32, e)?,
+        };
+        Ok(Factorization::Indefinite(IndefFactor {
+            r: f.r.convert::<f64>(),
+            d: f.d,
+            perturbations: f.perturbations,
+            exchanges: f.exchanges,
+            max_reflector_norm: f.max_reflector_norm,
+            m: f.m,
+            p: f.p,
+        }))
     }
 
-    fn execute_spd32(
+    /// Replan onto the indefinite kernel after the SPD attempt failed
+    /// with `e`, when `e` is a non-positive or singular pivot; any other
+    /// error is returned as is.
+    fn indefinite_fallback<T: Scalar>(
         &self,
-        t32: &SymBlockToeplitz<f32>,
-        pw: &mut PlanWorkspace,
-    ) -> Result<IndefFactor> {
-        let t_ref = retiled(t32, self.spd.block_size)?;
-        let mut r = pw.ws32.take_matrix(self.n, self.n);
-        let mut sink = |s: usize, mm: usize, _n: usize, row: bs_matrix::MatRef<'_, f32>| {
-            r.sub_mut(s * mm, s * mm, mm, row.cols()).copy_from(row);
-        };
-        match eliminate_spd(
-            &t_ref,
-            &self.spd,
-            &mut pw.ws32,
-            &mut pw.scratch32,
-            &mut sink,
-        ) {
-            Ok((m, p, _comm_words_per_step)) => {
-                normalize_diagonal(&mut r);
-                let promoted = r.convert::<f64>();
-                pw.ws32.give_matrix(r);
-                crate::contracts::spd_diagonal(&promoted, "FactorPlan::execute_spd32");
-                Ok(IndefFactor {
-                    r: promoted,
-                    d: vec![1; self.n],
-                    perturbations: Vec::new(),
-                    exchanges: 0,
-                    // No perturbation fired, so reflector norms are O(1).
-                    max_reflector_norm: 1.0,
-                    m,
-                    p,
-                })
+        t: &SymBlockToeplitz<T>,
+        e: Error,
+    ) -> Result<IndefFactor<T>> {
+        match e {
+            // A singular pivot inside the retiled SPD panel solve is the
+            // m_s > m manifestation of a singular leading minor: the
+            // zero lands on a triangular diagonal instead of a pivot
+            // classification, so it surfaces as a kernel error.
+            Error::NotPositiveDefinite { .. }
+            | Error::SingularMinor { .. }
+            | Error::Matrix(bs_matrix::Error::SingularPivot { .. }) => {
+                bs_probe::event!("plan_fallback_indefinite", n = self.n, m = self.m);
+                factor_indefinite(t, &self.indefinite)
             }
-            Err(e) => {
-                pw.ws32.give_matrix(r);
-                Err(e)
-            }
+            e => Err(e),
         }
     }
 
     /// Factor a batch of same-shaped systems through one pool dispatch:
-    /// the systems are chunked across the plan's worker threads and
-    /// each chunk reuses a single warm [`PlanWorkspace`], so engine
-    /// scratch warm-up and dispatch latency are amortized across the
-    /// batch instead of paid per system. Results align positionally
-    /// with `systems`, and each factorization is bitwise identical to
-    /// a standalone [`execute`](Self::execute) (workspace reuse never
-    /// changes the arithmetic — pooled buffers are zero-filled on
-    /// checkout). The lowest-indexed failing system aborts the batch
-    /// with its error.
+    /// the systems are chunked across the plan's worker threads, so
+    /// dispatch latency is amortized across the batch instead of paid
+    /// per system. Results align positionally with `systems`, and each
+    /// factorization is bitwise identical to a standalone
+    /// [`execute`](Self::execute). The lowest-indexed failing system
+    /// aborts the batch with its error.
     pub fn execute_batch(&self, systems: &[SymBlockToeplitz]) -> Result<Vec<Factorization>> {
         for t in systems {
             self.check_shape(t)?;
@@ -676,11 +531,8 @@ impl FactorPlan {
             .map(|(ci, (ts, slots))| (ci * chunk, ts, slots))
             .collect();
         par::for_each_policy(&self.spd.exec, jobs, |(i0, ts, slots)| {
-            // One workspace per chunk: the first system warms it, the
-            // rest run allocation-free against the recycled pool.
-            let mut pw = PlanWorkspace::new();
             for (j, (t, slot)) in ts.iter().zip(slots.iter_mut()).enumerate() {
-                match self.execute(t, &mut pw) {
+                match self.execute(t) {
                     Ok(f) => *slot = Some(f),
                     Err(e) => {
                         let mut g = failed.lock().unwrap_or_else(|p| p.into_inner());
@@ -704,43 +556,6 @@ impl FactorPlan {
             ));
         }
         Ok(filled)
-    }
-
-    fn execute_spd(&self, t: &SymBlockToeplitz, pw: &mut PlanWorkspace) -> Result<SpdFactor> {
-        let t_ref = retiled(t, self.spd.block_size)?;
-        // A retired factor of the right shape is reused as-is, with no
-        // zero-fill: the sink below writes every row from its diagonal
-        // block to the right edge (⊇ the upper triangle) and
-        // `normalize_diagonal` zeroes the strict lower triangle, so
-        // every entry is overwritten regardless of prior contents. A
-        // wrong-shape donation goes to the pool (zero-filled on take).
-        let mut r = match pw.retired.take() {
-            Some(buf) if buf.rows() == self.n && buf.cols() == self.n => buf,
-            Some(buf) => {
-                pw.ws.give_matrix(buf);
-                pw.ws.take_matrix(self.n, self.n)
-            }
-            None => pw.ws.take_matrix(self.n, self.n),
-        };
-        let mut sink = |s: usize, mm: usize, _n: usize, row: bs_matrix::MatRef<'_>| {
-            r.sub_mut(s * mm, s * mm, mm, row.cols()).copy_from(row);
-        };
-        match eliminate_spd(&t_ref, &self.spd, &mut pw.ws, &mut pw.scratch, &mut sink) {
-            Ok((m, p, comm_words_per_step)) => {
-                normalize_diagonal(&mut r);
-                crate::contracts::spd_diagonal(&r, "FactorPlan::execute_spd");
-                Ok(SpdFactor {
-                    r,
-                    m,
-                    p,
-                    comm_words_per_step,
-                })
-            }
-            Err(e) => {
-                pw.ws.give_matrix(r);
-                Err(e)
-            }
-        }
     }
 
     /// Matrix order the plan was built for.
@@ -913,21 +728,16 @@ mod tests {
         let opts = SchurOptions::default();
         let reference = factor_spd(&t, &opts).unwrap();
         let plan = FactorPlan::from_options(&t, &opts, &IndefOptions::default()).unwrap();
-        let mut pw = PlanWorkspace::new();
-        // Execute twice: cold then warm — both must equal the wrapper.
-        for round in 0..2 {
-            match plan.execute(&t, &mut pw).unwrap() {
-                Factorization::Spd(f) => {
-                    assert_eq!(
-                        f.r.max_abs_diff(&reference.r),
-                        0.0,
-                        "round {round}: plan/execute must be bitwise-identical"
-                    );
-                    assert_eq!(f.comm_words_per_step, reference.comm_words_per_step);
-                    pw.recycle(Factorization::Spd(f));
-                }
-                other => panic!("expected SPD, got {other:?}"),
+        match plan.execute(&t).unwrap() {
+            Factorization::Spd(f) => {
+                assert_eq!(
+                    f.r.max_abs_diff(&reference.r),
+                    0.0,
+                    "plan/execute must be bitwise-identical"
+                );
+                assert_eq!(f.comm_words_per_step, reference.comm_words_per_step);
             }
+            other => panic!("expected SPD, got {other:?}"),
         }
     }
 
@@ -944,8 +754,7 @@ mod tests {
             let plan =
                 FactorPlan::from_options(&t, &SchurOptions::default(), &IndefOptions::default())
                     .unwrap();
-            let mut pw = PlanWorkspace::new();
-            match plan.execute(&t, &mut pw).unwrap() {
+            match plan.execute(&t).unwrap() {
                 Factorization::Indefinite(f) => {
                     assert_eq!(f.r.max_abs_diff(&reference.r), 0.0, "n={}", t.order());
                     assert_eq!(f.d, reference.d);
@@ -983,8 +792,7 @@ mod tests {
         let ms = plan.block_size();
         assert!(ms.is_multiple_of(3) && 48 % ms == 0, "m_s = {ms}");
         assert!(plan.threads() >= 1);
-        let mut pw = PlanWorkspace::new();
-        match plan.execute(&t, &mut pw).unwrap() {
+        match plan.execute(&t).unwrap() {
             Factorization::Spd(f) => {
                 let diff = f.reconstruct().max_abs_diff(&t.to_dense());
                 assert!(diff < 1e-9, "||R^TR - T|| = {diff:e}");
@@ -998,9 +806,8 @@ mod tests {
         let t = workloads::random_spd_scalar(16, 1);
         let plan = FactorPlan::new(&t, &PlanRequest::default()).unwrap();
         let other = workloads::random_spd_scalar(20, 1);
-        let mut pw = PlanWorkspace::new();
         assert!(matches!(
-            plan.execute(&other, &mut pw),
+            plan.execute(&other),
             Err(Error::DimensionMismatch {
                 expected: 16,
                 found: 20,
@@ -1015,8 +822,7 @@ mod tests {
         let t = workloads::random_spd_scalar(24, 6);
         let plan = FactorPlan::new(&t, &PlanRequest::default()).unwrap();
         assert!(plan.rep_is_auto() && plan.block_size_is_auto());
-        let mut pw = PlanWorkspace::new();
-        match plan.execute(&t, &mut pw).unwrap() {
+        match plan.execute(&t).unwrap() {
             Factorization::Spd(f) => {
                 let diff = f.reconstruct().max_abs_diff(&t.to_dense());
                 assert!(diff < 1e-9, "||R^TR - T|| = {diff:e}");

@@ -23,7 +23,7 @@
 //! columns, and of the pivot panel.
 
 use crate::reflector::{HypReflector, PivotReflector};
-use bs_matrix::blas3::{gemm, gemm_ws, Trans};
+use bs_matrix::blas3::{gemm_ws, Trans};
 use bs_matrix::ldlt::Signature;
 use bs_matrix::par::{self, ExecPolicy};
 use bs_matrix::view::MatMut;
@@ -71,7 +71,7 @@ impl std::fmt::Display for RepKind {
 }
 
 /// Reusable scratch buffers for the [`BlockReflector::push`] update
-/// kernels. One instance, held across steps by the plan/execute engine,
+/// kernels. One instance, held across the steps of one factorization,
 /// turns the per-reflector temporaries (`z`, `xᵀV`, the `T`-row
 /// accumulator, the densified pivot vector) into buffer reuses instead
 /// of heap allocations.
@@ -192,7 +192,8 @@ impl<T: Scalar> BlockReflector<T> {
     /// [`PivotReflector`] with caller-provided scratch: the full-length
     /// vector is expanded into `scratch` instead of a fresh allocation,
     /// and all update temporaries reuse `scratch` buffers. This is the
-    /// allocation-free path the warm plan/execute engine runs.
+    /// path the elimination runs; after a factorization's first step it
+    /// allocates nothing.
     pub fn push_pivot(&mut self, r: &PivotReflector<T>, m: usize, scratch: &mut RepScratch<T>) {
         let mut xfull = std::mem::take(&mut scratch.xfull);
         xfull.clear();
@@ -355,25 +356,14 @@ impl<T: Scalar> BlockReflector<T> {
     }
 
     /// Apply the product to the trailing generator columns:
-    /// `G ← U⁽ᵏ⁾ G` (phase 2). Level-3 for the blocked kinds; under a
-    /// parallel [`ExecPolicy`] the trailing columns are cut into
-    /// deterministic strips executed on the worker pool — the
-    /// shared-memory analogue of the paper's scheme-1 column
-    /// distribution (§6–7), bitwise identical to sequential execution.
-    pub fn apply(&self, g: MatMut<'_, T>, exec: &ExecPolicy) {
-        self.apply_impl(g, exec, None);
-    }
-
-    /// [`apply`](Self::apply) with all temporaries (`Z`, `TZ`, generator
-    /// copies, gemm pack buffers) checked out of `ws` instead of heap
-    /// allocated. Identical arithmetic: pooled buffers are zero-filled
-    /// on checkout, exactly like the fresh allocations they replace.
-    /// Parallel strips draw from per-worker workspaces instead of `ws`.
-    pub fn apply_ws(&self, g: MatMut<'_, T>, exec: &ExecPolicy, ws: &mut Workspace<T>) {
-        self.apply_impl(g, exec, Some(ws));
-    }
-
-    fn apply_impl(&self, g: MatMut<'_, T>, exec: &ExecPolicy, mut ws: Option<&mut Workspace<T>>) {
+    /// `G ← U⁽ᵏ⁾ G` (phase 2). Level-3 for the blocked kinds, with all
+    /// temporaries (`Z`, `TZ`, generator copies, gemm pack buffers)
+    /// checked out of `ws`. Under a parallel [`ExecPolicy`] the trailing
+    /// columns are cut into deterministic strips executed on the worker
+    /// pool — the shared-memory analogue of the paper's scheme-1 column
+    /// distribution (§6–7), bitwise identical to sequential execution;
+    /// those strips draw from per-worker workspaces instead of `ws`.
+    pub fn apply(&self, g: MatMut<'_, T>, exec: &ExecPolicy, ws: &mut Workspace<T>) {
         assert_eq!(g.rows(), self.n);
         if self.k == 0 || g.cols() == 0 {
             return;
@@ -385,7 +375,7 @@ impl<T: Scalar> BlockReflector<T> {
         let q = g.cols();
         let width = exec.partition.strip_width(q);
         if self.apply_work(q) < exec.min_work as u128 || width >= q {
-            self.apply_cols(g, ws.as_deref_mut());
+            self.apply_cols(g, ws);
             return;
         }
         // bs-lint: allow(no-alloc-hot) -- O(strips) descriptors at dispatch; they borrow G and cannot live in a pool
@@ -402,18 +392,18 @@ impl<T: Scalar> BlockReflector<T> {
         if exec.threads <= 1 || par::in_dispatch() {
             // Same strips, executed inline with the caller's workspace.
             for s in strips {
-                self.apply_cols(s, ws.as_deref_mut());
+                self.apply_cols(s, ws);
             }
         } else {
             par::for_each_policy(exec, strips, |s| {
-                par::with_worker_ws(|wws| self.apply_cols(s, Some(wws)));
+                par::with_worker_ws(|wws| self.apply_cols(s, wws));
             });
         }
     }
 
     /// Monolithic application to one group of columns — the unit the
     /// strip dispatcher distributes. Always sequential inside.
-    fn apply_cols(&self, mut g: MatMut<'_, T>, mut ws: Option<&mut Workspace<T>>) {
+    fn apply_cols(&self, mut g: MatMut<'_, T>, ws: &mut Workspace<T>) {
         assert_eq!(g.rows(), self.n);
         if self.k == 0 || g.cols() == 0 {
             return;
@@ -432,11 +422,11 @@ impl<T: Scalar> BlockReflector<T> {
             }
             RepKind::Accumulated => {
                 // G ← U G.
-                let mut gc = take_mat(&mut ws, n, q);
+                let mut gc = ws.take_matrix(n, q);
                 for j in 0..q {
                     gc.col_mut(j).copy_from_slice(g.col(j));
                 }
-                mm(
+                gemm_ws(
                     T::ONE,
                     self.left.rf(),
                     Trans::No,
@@ -444,16 +434,16 @@ impl<T: Scalar> BlockReflector<T> {
                     Trans::No,
                     T::ZERO,
                     g.rb_mut(),
-                    ws.as_deref_mut(),
+                    ws,
                 );
-                give_mat(&mut ws, gc);
+                ws.give_matrix(gc);
             }
             RepKind::VY1 | RepKind::VY2 => {
                 // G ← Wᵏ G + V (Yᵀ G).
                 let v = self.left.sub(0, 0, n, k);
                 let y = self.right.sub(0, 0, n, k);
-                let mut z = take_mat(&mut ws, k, q);
-                mm(
+                let mut z = ws.take_matrix(k, q);
+                gemm_ws(
                     T::ONE,
                     y,
                     Trans::Yes,
@@ -461,10 +451,10 @@ impl<T: Scalar> BlockReflector<T> {
                     Trans::No,
                     T::ZERO,
                     z.mt(),
-                    ws.as_deref_mut(),
+                    ws,
                 );
                 apply_wk(&self.w, k, g.rb_mut());
-                mm(
+                gemm_ws(
                     T::ONE,
                     v,
                     Trans::No,
@@ -472,19 +462,19 @@ impl<T: Scalar> BlockReflector<T> {
                     Trans::No,
                     T::ONE,
                     g.rb_mut(),
-                    ws.as_deref_mut(),
+                    ws,
                 );
-                give_mat(&mut ws, z);
+                ws.give_matrix(z);
             }
             RepKind::YTY => {
                 // G ← Wᵏ G + Y (T (Yᵀ (W^{k-1} G))).
                 let y = self.left.sub(0, 0, n, k);
-                let mut z = take_mat(&mut ws, k, q);
+                let mut z = ws.take_matrix(k, q);
                 // Z = Yᵀ W^{k-1} G: fold W^{k-1} into a row-sign-flipped
                 // copy of Y instead of touching G.
                 if k.is_multiple_of(2) {
                     // W^{k-1} = W (odd power): use sign-flipped Y.
-                    let mut yw = take_mat(&mut ws, n, k);
+                    let mut yw = ws.take_matrix(n, k);
                     for j in 0..k {
                         let col = yw.col_mut(j);
                         col.copy_from_slice(&self.left.col(j)[..n]);
@@ -495,7 +485,7 @@ impl<T: Scalar> BlockReflector<T> {
                         }
                     }
                     flops::add((self.w.negatives() * k) as u64);
-                    mm(
+                    gemm_ws(
                         T::ONE,
                         yw.rf(),
                         Trans::Yes,
@@ -503,11 +493,11 @@ impl<T: Scalar> BlockReflector<T> {
                         Trans::No,
                         T::ZERO,
                         z.mt(),
-                        ws.as_deref_mut(),
+                        ws,
                     );
-                    give_mat(&mut ws, yw);
+                    ws.give_matrix(yw);
                 } else {
-                    mm(
+                    gemm_ws(
                         T::ONE,
                         y,
                         Trans::Yes,
@@ -515,11 +505,11 @@ impl<T: Scalar> BlockReflector<T> {
                         Trans::No,
                         T::ZERO,
                         z.mt(),
-                        ws.as_deref_mut(),
+                        ws,
                     );
                 }
                 // Z ← T Z with T lower triangular (k×k, small): direct.
-                let mut tz = take_mat(&mut ws, k, q);
+                let mut tz = ws.take_matrix(k, q);
                 for jj in 0..q {
                     for i in 0..k {
                         let mut s = T::ZERO;
@@ -531,7 +521,7 @@ impl<T: Scalar> BlockReflector<T> {
                 }
                 flops::add((k * k * q) as u64);
                 apply_wk(&self.w, k, g.rb_mut());
-                mm(
+                gemm_ws(
                     T::ONE,
                     y,
                     Trans::No,
@@ -539,10 +529,10 @@ impl<T: Scalar> BlockReflector<T> {
                     Trans::No,
                     T::ONE,
                     g.rb_mut(),
-                    ws.as_deref_mut(),
+                    ws,
                 );
-                give_mat(&mut ws, z);
-                give_mat(&mut ws, tz);
+                ws.give_matrix(z);
+                ws.give_matrix(tz);
             }
         }
     }
@@ -551,30 +541,8 @@ impl<T: Scalar> BlockReflector<T> {
     pub fn to_dense(&self) -> Matrix<T> {
         let n = self.n;
         let mut u = Matrix::identity(n);
-        self.apply(u.mt(), &ExecPolicy::sequential());
+        self.apply(u.mt(), &ExecPolicy::sequential(), &mut Workspace::new());
         u
-    }
-}
-
-/// Sequential gemm used inside one column strip. Parallelism lives a
-/// layer up (the strip dispatcher in `apply_impl`), so the inner
-/// product kernel never fans out again: with a workspace it
-/// packs into pooled buffers, without one it allocates privately.
-#[allow(clippy::too_many_arguments)]
-fn mm<T: Scalar>(
-    alpha: T,
-    a: bs_matrix::MatRef<'_, T>,
-    ta: Trans,
-    b: bs_matrix::MatRef<'_, T>,
-    tb: Trans,
-    beta: T,
-    c: MatMut<'_, T>,
-    ws: Option<&mut Workspace<T>>,
-) {
-    if let Some(w) = ws {
-        gemm_ws(alpha, a, ta, b, tb, beta, c, w)
-    } else {
-        gemm(alpha, a, ta, b, tb, beta, c)
     }
 }
 
@@ -592,22 +560,6 @@ fn wk_into<T: Scalar>(w: &Signature, k: usize, x: &[T], buf: &mut Vec<T>) {
     buf.extend_from_slice(x);
     if k % 2 == 1 {
         w.apply(buf);
-    }
-}
-
-/// Zeroed `rows × cols` scratch matrix: pooled when a workspace is
-/// present, fresh otherwise. Either way the caller sees all zeros.
-fn take_mat<T: Scalar>(ws: &mut Option<&mut Workspace<T>>, rows: usize, cols: usize) -> Matrix<T> {
-    match ws {
-        Some(w) => w.take_matrix(rows, cols),
-        None => Matrix::zeros(rows, cols),
-    }
-}
-
-/// Return a scratch matrix to the pool (drop it when workspace-less).
-fn give_mat<T: Scalar>(ws: &mut Option<&mut Workspace<T>>, m: Matrix<T>) {
-    if let Some(w) = ws {
-        w.give_matrix(m);
     }
 }
 
@@ -631,6 +583,7 @@ fn apply_wk<T: Scalar>(w: &Signature, k: usize, mut g: MatMut<'_, T>) {
 mod tests {
     use super::*;
     use crate::reflector::HypReflector;
+    use bs_matrix::blas3::gemm;
 
     fn make_reflectors(m: usize, count: usize, seed: u64) -> (Signature, Vec<HypReflector>) {
         let w = Signature::hyperbolic(m);
@@ -722,7 +675,7 @@ mod tests {
             let mut want = Matrix::zeros(2 * m, 13);
             gemm(1.0, u.rf(), Trans::No, g0.rf(), Trans::No, 0.0, want.mt());
             let mut g = g0.clone();
-            b.apply(g.mt(), &ExecPolicy::sequential());
+            b.apply(g.mt(), &ExecPolicy::sequential(), &mut ws);
             assert!(g.max_abs_diff(&want) < 1e-10, "kind={kind}");
             // Pooled path must be bitwise identical, not merely close: the
             // strip boundaries are thread-independent by construction.
@@ -734,7 +687,7 @@ mod tests {
                         partition,
                     };
                     let mut g2 = g0.clone();
-                    b.apply_ws(g2.mt(), &par, &mut ws);
+                    b.apply(g2.mt(), &par, &mut ws);
                     assert_eq!(
                         g2.max_abs_diff(&g),
                         0.0,
@@ -755,8 +708,7 @@ mod tests {
         b.push(&rs[0]);
         let mut g = Matrix::from_fn(2 * m, q, |i, j| (i + 2 * j) as f64);
         let mut ws = Workspace::new();
-        let ((), counted) =
-            flops::measure(|| b.apply_ws(g.mt(), &ExecPolicy::sequential(), &mut ws));
+        let ((), counted) = flops::measure(|| b.apply(g.mt(), &ExecPolicy::sequential(), &mut ws));
         assert_eq!(counted, (8 * m * q + m * q) as u64);
     }
 

@@ -19,11 +19,11 @@
 //! stored apart and half-height products, which measured slower here
 //! (DESIGN.md §7).
 
-use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled, EngineScratch};
+use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled};
 use crate::rep::RepKind;
 use crate::solve::solve_rtdr;
 use crate::Result;
-use bs_matrix::{ExecPolicy, Matrix, Scalar, Workspace};
+use bs_matrix::{ExecPolicy, Matrix, Scalar};
 use bs_toeplitz::SymBlockToeplitz;
 
 /// Options for [`factor_spd`].
@@ -125,19 +125,7 @@ pub fn factor_spd<T: Scalar>(t: &SymBlockToeplitz<T>, opts: &SchurOptions) -> Re
     let t_ref = retiled(t, opts.block_size)?;
     let n = t.block_size() * t.num_blocks();
     let mut r = Matrix::zeros(n, n);
-    // Fresh engine state: this entry point allocates per call;
-    // long-lived callers that want warm (allocation-free) repeats hold
-    // a `FactorPlan` instead.
-    let mut ws = Workspace::new();
-    let mut scratch = EngineScratch::default();
-    let mut sink = |s: usize, mm: usize, _n: usize, row: bs_matrix::MatRef<'_, T>| {
-        r.sub_mut(s * mm, s * mm, mm, row.cols()).copy_from(row);
-    };
-    let out = eliminate_spd(&t_ref, opts, &mut ws, &mut scratch, &mut sink);
-    // paranoid: the workspace is ours and received no donations, so it
-    // must be fully quiescent whatever the elimination returned.
-    ws.contract_quiescent("factor_spd");
-    let (m, p, comm_words_per_step) = out?;
+    let (m, p, comm_words_per_step) = eliminate_spd(&t_ref, opts, &mut r)?;
     normalize_diagonal(&mut r);
     crate::contracts::spd_diagonal(&r, "factor_spd");
     Ok(SpdFactor {
@@ -291,6 +279,36 @@ mod tests {
             factor_spd(&t, &SchurOptions::default()),
             Err(Error::NotPositiveDefinite { .. })
         ));
+    }
+
+    #[test]
+    fn one_arena_serves_every_step() {
+        // Scratch lives for one factorization: the first step checks out
+        // the working buffers and the later steps reuse them, since the
+        // trailing extent only shrinks. Allocating per step would miss
+        // the pool at least p − 1 = 127 times.
+        use bs_probe::metrics::{self, Counter};
+        let p = 128;
+        for m in [1usize, 4, 16] {
+            let t = workloads::random_spd_block(m, p, 29 + m as u64);
+            for rep in RepKind::ALL {
+                for two_level in [None, Some(4)] {
+                    let opts = SchurOptions {
+                        rep,
+                        exec: ExecPolicy::sequential(),
+                        two_level,
+                        ..Default::default()
+                    };
+                    let before = metrics::local_get(Counter::WorkspaceAllocs);
+                    let _f = factor_spd(&t, &opts).unwrap();
+                    let misses = metrics::local_get(Counter::WorkspaceAllocs) - before;
+                    assert!(
+                        misses <= 16,
+                        "m={m} rep={rep:?} two_level={two_level:?}: {misses} pool misses"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

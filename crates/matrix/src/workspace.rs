@@ -1,20 +1,20 @@
-//! Scratch-buffer arena for the factorization hot path.
+//! Scratch-buffer arena for one factorization.
 //!
-//! The block Schur elimination loop needs many short-lived `f64`
-//! buffers (panel copies, reflector scratch, trailing-update
-//! temporaries). Allocating them per step is both slow and — for a
-//! production solver serving repeated same-shaped systems — wasteful:
-//! after one factorization the sizes never change. A [`Workspace`] is
-//! a checkout/restore pool: `take_vec(len)` hands out the smallest
-//! pooled buffer that fits (zero-filled, so callers see exactly the
-//! semantics of `vec![0.0; len]` / [`Matrix::zeros`]), and `give_vec`
-//! returns it for reuse. After warm-up every checkout is a pool hit
-//! and the loop performs zero heap allocations.
+//! The block Schur elimination loop needs many short-lived buffers
+//! (the stacked generator, reflector scratch, trailing-update
+//! temporaries, gemm pack buffers). Their sizes only shrink from one
+//! step to the next, so a [`Workspace`] that lives for one
+//! factorization serves all `p − 1` steps from the buffers its first
+//! step allocated: `take_vec(len)` hands out the smallest pooled buffer
+//! that fits (zero-filled, so callers see exactly the semantics of
+//! `vec![0.0; len]` / [`Matrix::zeros`]), and `give_vec` returns it for
+//! the next step. Nothing is carried from one factorization to the
+//! next: the arena saved only a fixed per-call cost against the
+//! `≈ 4·m·n²` flops of each factorization.
 //!
-//! Cold growth is observable: every pool miss bumps
+//! Pool misses are observable: each one bumps
 //! `bs_probe::metrics::Counter::{WorkspaceAllocs, WorkspaceElems}` and
-//! the arena's own [`Workspace::allocations`] / high-water stats, which
-//! the steady-state benchmark asserts stay flat across warm solves.
+//! the arena's own [`Workspace::allocations`].
 
 use crate::dense::Matrix;
 use crate::scalar::Scalar;
@@ -26,27 +26,16 @@ use bs_probe::metrics::{self, Counter};
 /// Not thread-safe by design: each factorization (or each worker)
 /// owns its workspace. Buffers returned by [`take_vec`](Self::take_vec)
 /// are zero-filled to the requested length so a pooled checkout is
-/// indistinguishable from a fresh `vec![0.0; len]` — this is what lets
-/// the plan/execute path produce bitwise-identical factors to the
-/// historical allocate-per-call code.
+/// indistinguishable from a fresh `vec![0.0; len]`: reuse never changes
+/// the arithmetic.
 #[derive(Debug)]
 #[must_use]
 pub struct Workspace<T: Scalar = f64> {
     /// Idle buffers, kept sorted by capacity (ascending) so checkout
     /// can best-fit with a linear scan over a short list.
     pool: Vec<Vec<T>>,
-    /// Cold heap allocations performed (pool misses) since creation or
-    /// the last [`reset_stats`](Self::reset_stats).
+    /// Cold heap allocations performed (pool misses) since creation.
     allocations: u64,
-    /// Elements heap-allocated by those misses.
-    allocated_elems: u64,
-    /// Elements currently checked out.
-    live_elems: usize,
-    /// Maximum of `live_elems` ever observed.
-    high_water_elems: usize,
-    /// When set, pooling is disabled: every checkout allocates and
-    /// every return is dropped (see [`Workspace::bypass`]).
-    bypass: bool,
     /// Checkouts minus returns since creation. Donated buffers (ones
     /// the workspace never handed out) drive this negative, so it is a
     /// *balance*, not a live-buffer count: region deltas are what the
@@ -61,32 +50,15 @@ impl<T: Scalar> Default for Workspace<T> {
         Workspace {
             pool: Vec::new(),
             allocations: 0,
-            allocated_elems: 0,
-            live_elems: 0,
-            high_water_elems: 0,
-            bypass: false,
             outstanding: 0,
         }
     }
 }
 
 impl<T: Scalar> Workspace<T> {
-    /// An empty workspace; the first factorization warms it up.
+    /// An empty workspace; the first step of a factorization warms it.
     pub fn new() -> Self {
         Workspace::default()
-    }
-
-    /// A workspace with pooling disabled: every `take_*` allocates a
-    /// fresh zeroed buffer and every `give_*` drops its argument. This
-    /// reproduces the allocate-per-call behaviour the arena replaced —
-    /// useful as a benchmark baseline and for A/B-testing the pool
-    /// (results are bitwise-identical either way, since pooled
-    /// checkouts are zero-filled).
-    pub fn bypass() -> Self {
-        Workspace {
-            bypass: true,
-            ..Workspace::default()
-        }
     }
 
     /// Check out a zero-filled buffer of exactly `len` elements.
@@ -100,15 +72,6 @@ impl<T: Scalar> Workspace<T> {
     #[must_use]
     pub fn take_vec(&mut self, len: usize) -> Vec<T> {
         self.outstanding += 1;
-        self.live_elems += len;
-        self.high_water_elems = self.high_water_elems.max(self.live_elems);
-        if self.bypass {
-            self.allocations += 1;
-            self.allocated_elems += len as u64;
-            metrics::incr(Counter::WorkspaceAllocs);
-            metrics::add(Counter::WorkspaceElems, len as u64);
-            return vec![T::ZERO; len];
-        }
         // Best fit: smallest capacity >= len. The pool stays small (a
         // handful of buffers per factorization), so a scan is fine.
         let mut best: Option<usize> = None;
@@ -126,7 +89,6 @@ impl<T: Scalar> Workspace<T> {
             }
             None => {
                 self.allocations += 1;
-                self.allocated_elems += len as u64;
                 metrics::incr(Counter::WorkspaceAllocs);
                 metrics::add(Counter::WorkspaceElems, len as u64);
                 vec![T::ZERO; len]
@@ -135,12 +97,10 @@ impl<T: Scalar> Workspace<T> {
     }
 
     /// Return a buffer to the pool for reuse. Accepts any vector,
-    /// including ones the workspace did not hand out (that is how a
-    /// refactor recycles a retired factor's storage).
+    /// including ones the workspace did not hand out.
     pub fn give_vec(&mut self, v: Vec<T>) {
         self.outstanding -= 1;
-        self.live_elems = self.live_elems.saturating_sub(v.len());
-        if self.bypass || v.capacity() == 0 {
+        if v.capacity() == 0 {
             return;
         }
         self.pool.push(v);
@@ -157,39 +117,10 @@ impl<T: Scalar> Workspace<T> {
         self.give_vec(m.into_col_major());
     }
 
-    /// Cold heap allocations (pool misses) since creation or the last
-    /// [`reset_stats`](Self::reset_stats). A warm workspace holds this
-    /// at zero across whole factor/solve cycles.
+    /// Cold heap allocations (pool misses) since creation. Once a
+    /// checkout pattern has run, repeating it adds nothing here.
     pub fn allocations(&self) -> u64 {
         self.allocations
-    }
-
-    /// Elements heap-allocated by pool misses in the same window.
-    pub fn allocated_elems(&self) -> u64 {
-        self.allocated_elems
-    }
-
-    /// Peak number of simultaneously checked-out elements.
-    pub fn high_water_elems(&self) -> usize {
-        self.high_water_elems
-    }
-
-    /// Number of idle buffers currently pooled.
-    pub fn pooled_buffers(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Total capacity (elements) of the idle pool.
-    pub fn pooled_elems(&self) -> usize {
-        self.pool.iter().map(|b| b.capacity()).sum()
-    }
-
-    /// Zero the allocation / high-water statistics, keeping the pooled
-    /// buffers. Call between a warm-up run and a measured run.
-    pub fn reset_stats(&mut self) {
-        self.allocations = 0;
-        self.allocated_elems = 0;
-        self.high_water_elems = self.live_elems;
     }
 
     /// Checkout balance: `take_*` calls minus `give_*` calls since
@@ -264,20 +195,8 @@ mod tests {
         let v = ws.take_vec(9);
         assert!(v.capacity() < 100, "should pick the 10-capacity buffer");
         // The 100-capacity buffer is still pooled.
-        assert_eq!(ws.pooled_buffers(), 1);
+        let _big = ws.take_vec(100);
         assert_eq!(ws.allocations(), 2);
-    }
-
-    #[test]
-    fn high_water_tracks_peak_live() {
-        let mut ws: Workspace = Workspace::new();
-        let a = ws.take_vec(30);
-        let b = ws.take_vec(20);
-        ws.give_vec(a);
-        ws.give_vec(b);
-        assert_eq!(ws.high_water_elems(), 50);
-        let _ = ws.take_vec(40);
-        assert_eq!(ws.high_water_elems(), 50);
     }
 
     #[test]
@@ -290,26 +209,13 @@ mod tests {
             ws.give_vec(v);
         }
         assert_eq!(ws.allocations(), 2);
-        ws.reset_stats();
         for _ in 0..10 {
             let m = ws.take_matrix(16, 8);
             let v = ws.take_vec(64);
             ws.give_matrix(m);
             ws.give_vec(v);
         }
-        assert_eq!(ws.allocations(), 0, "warm loop must not allocate");
-    }
-
-    #[test]
-    fn bypass_mode_never_pools() {
-        let mut ws: Workspace = Workspace::bypass();
-        for _ in 0..4 {
-            let v = ws.take_vec(32);
-            assert!(v.iter().all(|&x| x == 0.0));
-            ws.give_vec(v);
-        }
-        assert_eq!(ws.allocations(), 4, "every bypass checkout allocates");
-        assert_eq!(ws.pooled_buffers(), 0);
+        assert_eq!(ws.allocations(), 2, "warm loop must not allocate");
     }
 
     #[test]

@@ -104,14 +104,29 @@ impl OperatorCache {
     /// factorization; the rest block until it is published (or retry
     /// the checkout if the build failed). A failed build leaves the
     /// cache without the key, so a later request retries cleanly.
+    ///
+    /// A cached factor answers only a request for its own operator
+    /// (same shape, bit-identical entries). When another operator sits
+    /// under the same fingerprint — a 64-bit hash collision — `t` is
+    /// factored without caching, counted as a factorization and not as
+    /// a hit, and a `cache_collision` event is emitted.
     pub fn get_or_factor(&self, t: &SymBlockToeplitz) -> Result<Arc<Factor>> {
         let fp = t.fingerprint();
         let n = t.order();
-        self.get_or_build(fp, || {
+        let factor = self.get_or_build(fp, || {
             let factor = Factor::new(t).map_err(ServeError::Solver)?;
             bs_probe::event!("cache_factor", fingerprint = fp, n = n);
             Ok(Arc::new(factor))
-        })
+        })?;
+        if factor.operator().bit_identical(t) {
+            return Ok(factor);
+        }
+        // `get_or_build` answered from the slot and counted a hit.
+        self.hits.fetch_sub(1, Ordering::Relaxed);
+        bs_probe::event!("cache_collision", fingerprint = fp, n = n);
+        let factor = Factor::new(t).map_err(ServeError::Solver)?;
+        self.factorizations.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::new(factor))
     }
 
     /// The single-flight core: resolve `fp` to a Ready factor, calling
@@ -308,6 +323,33 @@ mod tests {
         let t = workloads::random_spd_scalar(8, 5);
         cache.get_or_factor(&t).unwrap();
         assert!(cache.get(t.fingerprint()).is_some());
+    }
+
+    #[test]
+    fn colliding_fingerprint_never_answers_with_another_operator() {
+        // Plant another operator's factor under `t`'s key, as a
+        // fingerprint collision would: `t` must still get its own answer.
+        let cache = OperatorCache::new(2);
+        let t = workloads::random_spd_scalar(16, 1);
+        let other = workloads::random_spd_scalar(16, 2);
+        let planted = cache
+            .get_or_build(t.fingerprint(), || {
+                Ok(Arc::new(bs_core::Factor::new(&other).unwrap()))
+            })
+            .unwrap();
+        let f = cache.get_or_factor(&t).unwrap();
+        assert!(!Arc::ptr_eq(&f, &planted));
+        let (b, x_true) = workloads::rhs_for_ones(&t);
+        let x = f.solve(&b).unwrap();
+        let err = x
+            .iter()
+            .zip(&x_true)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(err < 1e-10, "answered with error {err:e}");
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.factorizations, 2);
     }
 
     #[test]

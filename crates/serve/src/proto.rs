@@ -60,9 +60,15 @@ pub const STATUS_ERR: u8 = 1;
 /// Request shed by admission control; retry later.
 pub const STATUS_SHED: u8 = 2;
 
+/// First read of a frame payload. Later reads double the bytes held,
+/// so a length prefix alone never makes the reader allocate more than
+/// this, or twice the bytes actually received, ahead of the payload.
+const READ_CHUNK: usize = 1 << 16;
+
 /// Read one frame into `buf` (reused across calls; resized, not
-/// reallocated once warm). Returns `false` on clean EOF before a
-/// length prefix — the peer closed the connection.
+/// reallocated once warm). A cold buffer grows to exactly the frame
+/// length. Returns `false` on clean EOF before a length prefix — the
+/// peer closed the connection.
 pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> crate::Result<bool> {
     let mut len4 = [0u8; 4];
     match r.read_exact(&mut len4) {
@@ -74,8 +80,17 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> crate::Result<bool> 
     if len > MAX_FRAME {
         return Err(ServeError::FrameTooLarge(len));
     }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
+    buf.truncate(len);
+    let mut start = 0;
+    while start < len {
+        let end = len.min(start + start.max(READ_CHUNK));
+        if end > buf.len() {
+            buf.reserve_exact(end - buf.len());
+            buf.resize(end, 0);
+        }
+        r.read_exact(&mut buf[start..end])?;
+        start = end;
+    }
     Ok(true)
 }
 
@@ -250,6 +265,29 @@ mod tests {
             read_frame(&mut cursor, &mut buf),
             Err(ServeError::FrameTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn lying_length_prefix_allocates_only_what_arrives() {
+        let mut wire = Vec::new();
+        put_u32(&mut wire, MAX_FRAME as u32);
+        wire.extend_from_slice(&[7u8; 16]);
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut cursor, &mut buf).is_err());
+        assert!(buf.capacity() <= READ_CHUNK, "capacity {}", buf.capacity());
+    }
+
+    #[test]
+    fn cold_buffer_grows_to_exactly_the_frame() {
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 1).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut cursor, &mut buf).unwrap());
+        assert_eq!(buf, payload);
+        assert_eq!(buf.capacity(), payload.len());
     }
 
     #[test]

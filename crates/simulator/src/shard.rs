@@ -5,7 +5,7 @@
 //! Every rank is a dedicated OS thread owning a packed shard of the
 //! generator, blocks crossing ownership boundaries travel through real
 //! channels, and the trailing update runs through the SIMD kernel
-//! engine (one [`BlockReflector::apply_ws`] over the rank's packed
+//! engine (one [`BlockReflector::apply`] over the rank's packed
 //! trailing suffix). [`ShardOptions::clock`] picks how time is kept:
 //!
 //! - [`Clock::Wall`] (the default) measures. The ranks run under
@@ -356,7 +356,7 @@ fn apply_trailing(
 ) {
     let (rows, cols) = (local.rows(), local.cols());
     if col0 < cols {
-        refl.apply_ws(local.sub_mut(0, col0, rows, cols - col0), exec, ws);
+        refl.apply(local.sub_mut(0, col0, rows, cols - col0), exec, ws);
     }
 }
 
@@ -537,7 +537,7 @@ fn run_v3(
                 // pipeline dependency of §7.1.3).
                 if group == gs && intra > c && rank != owner {
                     let slot = slot_of(s);
-                    crep.apply_ws(local.sub_mut(0, slot * mc, 2 * m, mc), &exec, &mut ws);
+                    crep.apply(local.sub_mut(0, slot * mc, 2 * m, mc), &exec, &mut ws);
                 }
                 px.barrier();
                 chunk_reps.push(crep);

@@ -82,6 +82,25 @@ impl<T: Scalar> SymBlockToeplitz<T> {
         }
         h.finish()
     }
+
+    /// `true` when `other` has this operator's shape and bit-identical
+    /// entries — exactly the equivalence [`fingerprint`](Self::fingerprint)
+    /// hashes, so equal fingerprints can be confirmed before trusting
+    /// them.
+    pub fn bit_identical(&self, other: &Self) -> bool {
+        self.block_size() == other.block_size()
+            && self.num_blocks() == other.num_blocks()
+            && self
+                .first_block_row()
+                .iter()
+                .zip(other.first_block_row())
+                .all(|(a, b)| {
+                    a.as_slice()
+                        .iter()
+                        .zip(b.as_slice())
+                        .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
+                })
+    }
 }
 
 #[cfg(test)]

@@ -46,8 +46,8 @@ pub use bs_toeplitz as toeplitz;
 pub mod prelude {
     pub use bs_core::{
         factor_indefinite, factor_spd, solve_refined, Factor, FactorPlan, Factorization,
-        IndefFactor, IndefOptions, Perturbation, PlanRequest, PlanWorkspace, Precision,
-        RefineOperator, RefineOptions, RefineResult, RepKind, SchurOptions, SpdFactor,
+        IndefFactor, IndefOptions, Perturbation, PlanRequest, Precision, RefineOperator,
+        RefineOptions, RefineResult, RepKind, SchurOptions, SpdFactor,
     };
     pub use bs_matrix::{ExecPolicy, Matrix, Partition, Signature};
     pub use bs_toeplitz::{build_generator, workloads, Generator, SymBlockToeplitz};

@@ -165,8 +165,7 @@ fn batched_factor_matches_looped_execution_bitwise() {
         let batch = plan.execute_batch(&systems).unwrap();
         assert_eq!(batch.len(), systems.len());
         for (i, (t, f)) in systems.iter().zip(&batch).enumerate() {
-            let mut pw = PlanWorkspace::new();
-            let single = plan.execute(t, &mut pw).unwrap();
+            let single = plan.execute(t).unwrap();
             match (f, &single) {
                 (Factorization::Spd(a), Factorization::Spd(b)) => {
                     assert_eq!(
