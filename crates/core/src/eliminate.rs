@@ -45,21 +45,17 @@ use bs_toeplitz::{build_generator, SymBlockToeplitz};
 use std::borrow::Cow;
 
 /// Engine state one factorization reuses across its steps: the
-/// per-chunk block reflectors, the panel scratch, and the per-column
-/// buffers of the indefinite kernel.
+/// per-chunk block reflectors, the panel scratch, and the indefinite
+/// kernel's elementary reflector.
 #[derive(Debug)]
 pub(crate) struct EngineScratch<T: Scalar = f64> {
-    /// Panel-factorization scratch (pivot reflector, source column,
+    /// Panel-factorization scratch (pivot reflector and
     /// representation-update buffers).
     panel: PanelScratch<T>,
     /// Chunk block reflectors, reused across steps via `reset`.
     reps: Vec<BlockReflector<T>>,
     /// The indefinite kernel's elementary reflector.
     refl: PivotReflector<T>,
-    /// Pivot-column lower half (indefinite kernel).
-    u_low: Vec<T>,
-    /// Trailing-update column buffer (indefinite kernel).
-    low: Vec<T>,
 }
 
 impl<T: Scalar> Default for EngineScratch<T> {
@@ -68,8 +64,6 @@ impl<T: Scalar> Default for EngineScratch<T> {
             panel: PanelScratch::default(),
             reps: Vec::new(),
             refl: PivotReflector::empty(),
-            u_low: Vec::new(),
-            low: Vec::new(),
         }
     }
 }
@@ -332,11 +326,7 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
 
     let mut r = ws.take_matrix(n, n);
     // Emit block row 0.
-    for j in 0..n {
-        for i in 0..m {
-            r[(i, j)] = g[(i, j)];
-        }
-    }
+    r.sub_mut(0, 0, m, n).copy_from(g.sub(0, 0, m, n));
     d[..m].copy_from_slice(&w.0[..m]);
 
     let mut exchanges = 0usize;
@@ -352,11 +342,12 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
         let step_t0 = bs_probe::histogram::is_enabled().then(std::time::Instant::now);
         metrics::incr(Counter::SchurSteps);
         // Phase 3 (explicit): shift the upper half right by one block.
-        for j in (s * m..n).rev() {
-            for i in 0..m {
-                let v = g[(i, j - m)];
-                g[(i, j)] = v;
-            }
+        // Columns go in descending order, so each source is read before
+        // it is overwritten.
+        let data = g.as_mut_slice();
+        for c in (s * m..n).rev() {
+            let src = (c - m) * 2 * m;
+            data.copy_within(src..src + m, c * 2 * m);
         }
 
         for k in 0..m {
@@ -377,11 +368,10 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
                     });
                 }
                 let u_top = g[(k, c)];
-                scratch.u_low.clear();
-                scratch.u_low.extend((0..m).map(|i| g[(m + i, c)]));
+                let u_low = &g.col(c)[m..];
                 let outcome = PivotReflector::compute_into(
                     u_top,
-                    &scratch.u_low,
+                    u_low,
                     &w,
                     m,
                     k,
@@ -396,7 +386,7 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
                         // the signature sign(h) = −w_k.
                         let want: i8 = if hnorm > 0.0 { 1 } else { -1 };
                         let mut best: Option<(usize, T)> = None;
-                        for (i, &v) in scratch.u_low.iter().enumerate() {
+                        for (i, &v) in u_low.iter().enumerate() {
                             if w.sign(m + i) == want {
                                 let mag = v.abs();
                                 if best.map(|(_, b)| mag > b).unwrap_or(true) {
@@ -456,7 +446,7 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
                         // §8.2 recipe: scale the pivot entry by √(1+δ),
                         // making the hyperbolic norm ≈ w_k·δ·u_k².
                         let scale2 = (u_top * u_top
-                            + scratch.u_low.iter().fold(T::ZERO, |acc, &v| acc + v * v))
+                            + u_low.iter().fold(T::ZERO, |acc, &v| acc + v * v))
                         .to_f64();
                         if (u_top * u_top).to_f64() > 1e-3 * scale2
                             && scale2 > opts.zero_tol * t_scale
@@ -504,27 +494,16 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
             }
             // Finalize column c and update the trailing columns.
             g[(k, c)] = -refl.sigma;
-            for i in 0..m {
-                g[(m + i, c)] = T::ZERO;
-            }
+            g.col_mut(c)[m..].fill(T::ZERO);
             for col in c + 1..n {
-                let mut top = g[(k, col)];
-                scratch.low.clear();
-                scratch.low.extend((0..m).map(|i| g[(m + i, col)]));
-                refl.apply_split(&w, m, &mut top, &mut scratch.low);
-                g[(k, col)] = top;
-                for i in 0..m {
-                    g[(m + i, col)] = scratch.low[i];
-                }
+                let (top, low) = g.col_mut(col).split_at_mut(m);
+                refl.apply_split(&w, m, &mut top[k], low);
             }
         }
 
         // Emit block row s with its signature.
-        for j in s * m..n {
-            for i in 0..m {
-                r[(s * m + i, j)] = g[(i, j)];
-            }
-        }
+        r.sub_mut(s * m, s * m, m, n - s * m)
+            .copy_from(g.sub(0, s * m, m, n - s * m));
         d[s * m..(s + 1) * m].copy_from_slice(&w.0[..m]);
         crate::contracts::signature_consistency(&w.0, w_sum, s);
         if bs_probe::trace::is_enabled() {

@@ -4,8 +4,16 @@
 //! invariant of §5) on the block to eliminate (lower half, dense). Each
 //! column `k` yields one elementary hyperbolic reflector built from the
 //! sparse pivot vector of Fig. 1; the reflector is applied to the
-//! remaining panel columns immediately (BLAS2) while the chosen block
-//! representation absorbs it for the later level-3 trailing update.
+//! remaining columns of its chunk immediately (BLAS2) while the chosen
+//! block representation absorbs it for the later level-3 updates.
+//!
+//! [`factor_chunk`] is that per-column loop over one chunk of panel
+//! columns, and the only code that builds SPD pivot reflectors. The
+//! engine's two-level panel ([`factor_panel_into`], §6.2) runs it chunk
+//! after chunk on one address space; the sharded executor runs it on
+//! each broadcast raw pivot chunk, on every rank, whether the chunk is
+//! the whole panel (V1/V2) or one rank's column slice of it (V3,
+//! §7.1.3).
 
 use crate::reflector::{PivotOutcome, PivotReflector};
 use crate::rep::{BlockReflector, RepKind, RepScratch};
@@ -16,14 +24,13 @@ use bs_matrix::{Scalar, Workspace};
 use bs_probe::metrics::{self, Counter};
 use bs_probe::stability;
 
-/// Reusable per-step state for [`factor_panel_into`]: the pivot
-/// reflector, its source column, and the block-representation update
-/// buffers. Held across Schur steps by the plan/execute engine so the
-/// warm panel factorization allocates nothing.
+/// Reusable per-step state for [`factor_chunk`]: the pivot reflector
+/// and the block-representation update buffers. Held across Schur
+/// steps by the engine and by every shard rank, so the warm panel
+/// factorization allocates nothing.
 #[derive(Debug)]
 pub struct PanelScratch<T: Scalar = f64> {
     refl: PivotReflector<T>,
-    u_low: Vec<T>,
     rep: RepScratch<T>,
 }
 
@@ -31,7 +38,6 @@ impl<T: Scalar> Default for PanelScratch<T> {
     fn default() -> Self {
         PanelScratch {
             refl: PivotReflector::empty(),
-            u_low: Vec::new(),
             rep: RepScratch::default(),
         }
     }
@@ -56,65 +62,29 @@ pub fn factor_panel<T: Scalar>(
     zero_tol: f64,
     scale: f64,
 ) -> Result<BlockReflector<T>> {
-    let m = panel.cols();
-    let mut reps = factor_panel_two_level(panel, w, kind, step, zero_tol, scale, m)?;
-    debug_assert_eq!(reps.len(), 1);
-    reps.pop().ok_or_else(|| {
-        Error::InvalidOptions("panel factorization produced no reflector chunk".to_string())
-    })
-}
-
-/// Two-level blocked panel factorization (§6.2): the elementary
-/// hyperbolic reflectors are blocked every `k_block` steps, and each
-/// chunk's block transformation is applied to the remaining portion of
-/// the pivot block with level-3 kernels before the next chunk starts.
-///
-/// With `k_block = m` this is [`factor_panel`]; smaller chunks trade a
-/// little extra blocking work for level-3 intra-panel updates — the
-/// scheme the paper recommends "if the block size m is very large …
-/// on machines with hierarchical memory".
-///
-/// Returns one [`BlockReflector`] per chunk; apply them to the trailing
-/// generator *in order*.
-pub fn factor_panel_two_level<T: Scalar>(
-    panel: MatMut<'_, T>,
-    w: &Signature,
-    kind: RepKind,
-    step: usize,
-    zero_tol: f64,
-    scale: f64,
-    k_block: usize,
-) -> Result<Vec<BlockReflector<T>>> {
-    let mut reps = Vec::new();
+    assert_eq!(panel.rows(), 2 * panel.cols(), "panel must be 2m x m");
+    let mut rep = BlockReflector::new(kind, w.clone(), panel.cols());
     let mut scratch = PanelScratch::default();
-    let mut ws = Workspace::new();
-    factor_panel_into(
-        panel,
-        w,
-        kind,
-        step,
-        zero_tol,
-        scale,
-        k_block,
-        &mut reps,
-        &mut scratch,
-        &mut ws,
-    )?;
-    Ok(reps)
+    factor_chunk(panel, 0, w, step, zero_tol, scale, &mut rep, &mut scratch)?;
+    Ok(rep)
 }
 
-/// [`factor_panel_two_level`] with every working buffer caller-owned:
-/// the chunk [`BlockReflector`]s in `reps` are reused via
-/// [`BlockReflector::reset`] when their shape fits (re-created on a
-/// cold or mismatched call), per-column temporaries live in `scratch`,
-/// and level-3 intra-panel updates draw from `ws`. Calls after the
-/// first step of a factorization perform zero heap allocations. The
-/// arithmetic is identical to
-/// [`factor_panel_two_level`] — that function is now this one with
-/// fresh state.
+/// Two-level blocked panel factorization (§6.2) with every working
+/// buffer caller-owned: the panel's columns are factored in chunks of
+/// `k_block` by [`factor_chunk`], and each chunk's block transformation
+/// is applied to the remaining pivot-block columns with level-3 kernels
+/// (drawing from `ws`) before the next chunk starts. `k_block = m` is
+/// [`factor_panel`]; smaller chunks trade a little extra blocking work
+/// for level-3 intra-panel updates — the scheme the paper recommends
+/// "if the block size m is very large … on machines with hierarchical
+/// memory".
 ///
-/// On success `reps` holds exactly the chunk transformations, in
-/// application order.
+/// The chunk [`BlockReflector`]s in `reps` are reused via
+/// [`BlockReflector::reset`] when their shape fits (re-created on a
+/// cold or mismatched call), so calls after the first step of a
+/// factorization perform zero heap allocations. On success `reps`
+/// holds exactly the chunk transformations; apply them to the trailing
+/// generator *in order*.
 #[allow(clippy::too_many_arguments)]
 pub fn factor_panel_into<T: Scalar>(
     mut panel: MatMut<'_, T>,
@@ -130,12 +100,7 @@ pub fn factor_panel_into<T: Scalar>(
 ) -> Result<()> {
     let m = panel.cols();
     assert_eq!(panel.rows(), 2 * m, "panel must be 2m x m");
-    assert_eq!(w.len(), 2 * m);
     assert!(k_block >= 1, "chunk size must be positive");
-    debug_assert!(
-        (0..m).all(|i| w.sign(i) > 0),
-        "SPD panel factorization expects an all-plus upper signature"
-    );
     let mut chunk_start = 0;
     let mut chunk_idx = 0;
     while chunk_start < m {
@@ -151,66 +116,16 @@ pub fn factor_panel_into<T: Scalar>(
             reps[chunk_idx] = BlockReflector::new(kind, w.clone(), k_len);
         }
         let rep = &mut reps[chunk_idx];
-        for k in chunk_start..chunk_end {
-            let u_top = panel.get(k, k);
-            scratch.u_low.clear();
-            scratch.u_low.extend_from_slice(&panel.col(k)[m..]);
-            let outcome = PivotReflector::compute_into(
-                u_top,
-                &scratch.u_low,
-                w,
-                m,
-                k,
-                zero_tol,
-                scale,
-                &mut scratch.refl,
-            );
-            match outcome {
-                PivotOutcome::Ok => {}
-                PivotOutcome::ZeroNorm { hnorm } => {
-                    return Err(Error::SingularMinor {
-                        step,
-                        column: k,
-                        hnorm,
-                    })
-                }
-                PivotOutcome::WrongSign { hnorm } => {
-                    return Err(Error::NotPositiveDefinite {
-                        step,
-                        column: k,
-                        hnorm,
-                    })
-                }
-            }
-            let r = &scratch.refl;
-            crate::contracts::hyperbolic_existence(step, k, r.sigma.to_f64(), r.beta.to_f64());
-            metrics::incr(Counter::Reflectors);
-            if stability::is_enabled() {
-                // σ² = |uᵀWu|: the hyperbolic norm the reflector
-                // eliminated; norm_est bounds ‖U‖₂ (the §8.2 growth).
-                let h2 = u_top * u_top + scratch.u_low.iter().fold(T::ZERO, |acc, &v| acc + v * v);
-                let col_norm = h2.to_f64().sqrt();
-                stability::record_step(
-                    step,
-                    k,
-                    col_norm,
-                    (r.sigma * r.sigma).to_f64(),
-                    r.norm_est(),
-                );
-            }
-            // Column k maps to −σ e_k (lower half annihilated).
-            panel.set(k, k, -r.sigma);
-            for i in 0..m {
-                panel.set(m + i, k, T::ZERO);
-            }
-            // Elementary update of the rest of this chunk only.
-            for j in k + 1..chunk_end {
-                let col = panel.col_mut(j);
-                let (top_half, low_half) = col.split_at_mut(m);
-                r.apply_split(w, m, &mut top_half[k], low_half);
-            }
-            rep.push_pivot(&scratch.refl, m, &mut scratch.rep);
-        }
+        factor_chunk(
+            panel.sub_mut(0, chunk_start, 2 * m, k_len),
+            chunk_start,
+            w,
+            step,
+            zero_tol,
+            scale,
+            rep,
+            scratch,
+        )?;
         // Level-3 update of the remaining pivot-block columns with the
         // whole chunk's transformation.
         if chunk_end < m {
@@ -226,6 +141,98 @@ pub fn factor_panel_into<T: Scalar>(
         chunk_idx += 1;
     }
     reps.truncate(chunk_idx);
+    Ok(())
+}
+
+/// Factor one chunk of pivot-panel columns in place under the SPD
+/// working signature `w` (length `2m`): column `i` of the `2m × kc`
+/// `chunk` pivots on upper-half row `k0 + i`. Each column maps to
+/// `−σ e_{k0+i}` (lower half zeroed), its reflector is applied to the
+/// chunk's later columns, and `rep` — empty or [`reset`] by the
+/// caller, sized for at least `kc` reflectors — absorbs the `kc`
+/// reflectors in order.
+///
+/// Earlier chunks' transformations must already be applied to `chunk`.
+/// `step`, `zero_tol` and `scale` are as in [`factor_panel`].
+///
+/// [`reset`]: BlockReflector::reset
+#[allow(clippy::too_many_arguments)]
+pub fn factor_chunk<T: Scalar>(
+    mut chunk: MatMut<'_, T>,
+    k0: usize,
+    w: &Signature,
+    step: usize,
+    zero_tol: f64,
+    scale: f64,
+    rep: &mut BlockReflector<T>,
+    scratch: &mut PanelScratch<T>,
+) -> Result<()> {
+    let m = chunk.rows() / 2;
+    let kc = chunk.cols();
+    assert_eq!(w.len(), 2 * m, "signature must span the 2m chunk rows");
+    assert!(k0 + kc <= m, "chunk pivots must lie in the upper half");
+    debug_assert!(
+        (0..m).all(|i| w.sign(i) > 0),
+        "SPD panel factorization expects an all-plus upper signature"
+    );
+    for i in 0..kc {
+        let k = k0 + i;
+        let col = chunk.col(i);
+        let u_top = col[k];
+        let outcome = PivotReflector::compute_into(
+            u_top,
+            &col[m..],
+            w,
+            m,
+            k,
+            zero_tol,
+            scale,
+            &mut scratch.refl,
+        );
+        match outcome {
+            PivotOutcome::Ok => {}
+            PivotOutcome::ZeroNorm { hnorm } => {
+                return Err(Error::SingularMinor {
+                    step,
+                    column: k,
+                    hnorm,
+                })
+            }
+            PivotOutcome::WrongSign { hnorm } => {
+                return Err(Error::NotPositiveDefinite {
+                    step,
+                    column: k,
+                    hnorm,
+                })
+            }
+        }
+        let r = &scratch.refl;
+        crate::contracts::hyperbolic_existence(step, k, r.sigma.to_f64(), r.beta.to_f64());
+        metrics::incr(Counter::Reflectors);
+        if stability::is_enabled() {
+            // σ² = |uᵀWu|: the hyperbolic norm the reflector
+            // eliminated; norm_est bounds ‖U‖₂ (the §8.2 growth).
+            let h2 = u_top * u_top + col[m..].iter().fold(T::ZERO, |acc, &v| acc + v * v);
+            let col_norm = h2.to_f64().sqrt();
+            stability::record_step(
+                step,
+                k,
+                col_norm,
+                (r.sigma * r.sigma).to_f64(),
+                r.norm_est(),
+            );
+        }
+        // Column i maps to −σ e_k (lower half annihilated).
+        let col = chunk.col_mut(i);
+        col[k] = -r.sigma;
+        col[m..].fill(T::ZERO);
+        // Elementary update of the rest of this chunk only.
+        for j in i + 1..kc {
+            let (top_half, low_half) = chunk.col_mut(j).split_at_mut(m);
+            r.apply_split(w, m, &mut top_half[k], low_half);
+        }
+        rep.push_pivot(&scratch.refl, m, &mut scratch.rep);
+    }
     Ok(())
 }
 

@@ -23,7 +23,7 @@ use crate::rep::RepKind;
 use crate::schur::{factor_spd, SchurOptions};
 use crate::{Error, Result};
 use bs_matrix::{kernel, par, ExecPolicy, Scalar};
-use bs_perfmodel::model::{self, Rep};
+use bs_perfmodel::model;
 use bs_perfmodel::tradeoff::{self, RateTable};
 use bs_toeplitz::SymBlockToeplitz;
 use std::sync::Mutex;
@@ -159,27 +159,6 @@ pub struct FactorPlan {
     predicted_comm_words: usize,
 }
 
-/// `RepKind` → cost-model [`Rep`]; `Sequential` has no blocked-cost
-/// counterpart.
-fn kind_to_rep(k: RepKind) -> Option<Rep> {
-    match k {
-        RepKind::Accumulated => Some(Rep::Accumulated),
-        RepKind::VY1 => Some(Rep::VY1),
-        RepKind::VY2 => Some(Rep::VY2),
-        RepKind::YTY => Some(Rep::YTY),
-        RepKind::Sequential => None,
-    }
-}
-
-fn rep_to_kind(r: Rep) -> RepKind {
-    match r {
-        Rep::Accumulated => RepKind::Accumulated,
-        Rep::VY1 => RepKind::VY1,
-        Rep::VY2 => RepKind::VY2,
-        Rep::YTY => RepKind::YTY,
-    }
-}
-
 /// Stable index for trace events (which carry only numeric values).
 fn rep_index(k: RepKind) -> usize {
     match k {
@@ -243,7 +222,7 @@ impl FactorPlan {
         let p = n / m_s;
         let (rep, rep_auto) = match req.rep {
             Some(r) => (r, false),
-            None => (rep_to_kind(tradeoff::best_rep_total(m_s, p)), true),
+            None => (tradeoff::best_rep_total(m_s, p).into(), true),
         };
         // Thread resolution: explicit request > BS_THREADS environment >
         // cost model (resolved in `assemble` once the predicted flops
@@ -311,7 +290,7 @@ impl FactorPlan {
     ) -> FactorPlan {
         let m_s = spd.block_size.unwrap_or(m);
         let p = n / m_s;
-        let (predicted_flops, predicted_comm_words) = match kind_to_rep(spd.rep) {
+        let (predicted_flops, predicted_comm_words) = match spd.rep.model() {
             Some(r) => (
                 tradeoff::total_schur_flops(r, m_s, p),
                 model::comm_words(r, m_s),
@@ -561,11 +540,6 @@ impl FactorPlan {
     /// Matrix order the plan was built for.
     pub fn order(&self) -> usize {
         self.n
-    }
-
-    /// Structural block size of the planned systems.
-    pub fn structural_block_size(&self) -> usize {
-        self.m
     }
 
     /// Algorithmic block size `m_s` the elimination runs at.

@@ -22,7 +22,6 @@
 
 use bs_matrix::flops;
 use bs_matrix::ldlt::Signature;
-use bs_matrix::view::MatMut;
 use bs_matrix::Scalar;
 
 /// Outcome of attempting to build a reflector from a pivot column.
@@ -103,14 +102,6 @@ impl<T: Scalar> HypReflector<T> {
         bs_matrix::blas1::axpy(self.beta * s, &self.x, c);
     }
 
-    /// Apply to every column of a matrix view.
-    pub fn apply(&self, w: &Signature, mut g: MatMut<'_, T>) {
-        assert_eq!(g.rows(), self.x.len());
-        for j in 0..g.cols() {
-            self.apply_col(w, g.col_mut(j));
-        }
-    }
-
     /// Dense `2m × 2m` matrix `U_x` (test / diagnostic use).
     pub fn to_dense(&self, w: &Signature) -> bs_matrix::Matrix<T> {
         let n = self.x.len();
@@ -122,12 +113,6 @@ impl<T: Scalar> HypReflector<T> {
             };
             wij + self.beta * self.x[i] * self.x[j]
         })
-    }
-
-    /// 2-norm of `U_x` (power iteration). The perturbation analysis of
-    /// §8.2 tracks `‖U‖ ≈ 1/δ` as the instability growth factor.
-    pub fn norm2(&self, w: &Signature) -> f64 {
-        bs_matrix::norms::mat_two_estimate(&self.to_dense(w).convert::<f64>(), 50)
     }
 }
 
@@ -157,35 +142,6 @@ pub struct PivotReflector<T: Scalar = f64> {
 }
 
 impl<T: Scalar> PivotReflector<T> {
-    /// Classify and (when possible) build the reflector for the pivot
-    /// column `(u_top at row `pivot`; u_low)` under working signature
-    /// `w` (length `m + u_low.len()`; the lower half starts at `m`).
-    ///
-    /// `zero_tol * scale` is the absolute threshold below which `uᵀWu`
-    /// counts as zero (singular principal minor). The hyperbolic norm of
-    /// a pivot column is a ratio of consecutive principal minors of `T`
-    /// — an invariant of the elimination — so `scale` must be an
-    /// absolute matrix scale (e.g. `‖T‖∞`), *not* the column norm: the
-    /// column entries blow up by `1/√δ` after a perturbation while `h`
-    /// keeps its meaning, and a column-relative test would misclassify
-    /// healthy pivots as singular.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute(
-        u_top: T,
-        u_low: &[T],
-        w: &Signature,
-        m: usize,
-        pivot: usize,
-        zero_tol: f64,
-        scale: f64,
-    ) -> (PivotOutcome, Option<PivotReflector<T>>) {
-        let mut out = PivotReflector::empty();
-        let outcome =
-            PivotReflector::compute_into(u_top, u_low, w, m, pivot, zero_tol, scale, &mut out);
-        let r = matches!(outcome, PivotOutcome::Ok).then_some(out);
-        (outcome, r)
-    }
-
     /// A placeholder reflector ready for [`compute_into`](Self::compute_into)
     /// to overwrite; its `x_low` buffer is reused across Schur steps.
     pub fn empty() -> PivotReflector<T> {
@@ -198,9 +154,20 @@ impl<T: Scalar> PivotReflector<T> {
         }
     }
 
-    /// [`compute`](Self::compute) writing into a caller-owned reflector,
-    /// so `x_low` reuses its existing heap buffer. Identical arithmetic;
-    /// on non-`Ok` outcomes `out` holds unspecified (stale) data.
+    /// Classify and (when possible) build into `out` the reflector for
+    /// the pivot column (`u_top` at row `pivot`; `u_low`) under working
+    /// signature `w` (length `m + u_low.len()`; the lower half starts
+    /// at `m`). `out.x_low` reuses its existing heap buffer; on
+    /// non-`Ok` outcomes `out` holds unspecified (stale) data.
+    ///
+    /// `zero_tol * scale` is the absolute threshold below which `uᵀWu`
+    /// counts as zero (singular principal minor). The hyperbolic norm of
+    /// a pivot column is a ratio of consecutive principal minors of `T`
+    /// — an invariant of the elimination — so `scale` must be an
+    /// absolute matrix scale (e.g. `‖T‖∞`), *not* the column norm: the
+    /// column entries blow up by `1/√δ` after a perturbation while `h`
+    /// keeps its meaning, and a column-relative test would misclassify
+    /// healthy pivots as singular.
     #[allow(clippy::too_many_arguments)]
     pub fn compute_into(
         u_top: T,
@@ -286,20 +253,6 @@ impl<T: Scalar> PivotReflector<T> {
     pub fn norm_est(&self) -> f64 {
         let x2 = self.x_top * self.x_top + self.x_low.iter().fold(T::ZERO, |acc, &v| acc + v * v);
         1.0 + self.beta.abs().to_f64() * x2.to_f64()
-    }
-
-    /// Densify to a full-length [`HypReflector`] over `m + x_low.len()`
-    /// rows (used by the block-representation builders).
-    pub fn to_full(&self, m: usize) -> HypReflector<T> {
-        let mut x = vec![T::ZERO; m + self.x_low.len()];
-        x[self.pivot] = self.x_top;
-        x[m..].copy_from_slice(&self.x_low);
-        HypReflector {
-            x,
-            beta: self.beta,
-            sigma: self.sigma,
-            pivot: self.pivot,
-        }
     }
 }
 
@@ -396,9 +349,9 @@ mod tests {
         u[5] = 2.0;
         let (full, _) = HypReflector::compute(&u, &w, 1);
         let full = full.unwrap();
-        let (out, sparse) = PivotReflector::compute(4.0, &u[3..], &w, m, 1, 1e-14, 1.0);
+        let mut sparse = PivotReflector::empty();
+        let out = PivotReflector::compute_into(4.0, &u[3..], &w, m, 1, 1e-14, 1.0, &mut sparse);
         assert_eq!(out, PivotOutcome::Ok);
-        let sparse = sparse.unwrap();
         assert!((sparse.beta - full.beta).abs() < 1e-14);
         assert!((sparse.sigma - full.sigma).abs() < 1e-14);
 
@@ -426,9 +379,9 @@ mod tests {
         let w = spd_w(m);
         let u_top = 3.0;
         let u_low = vec![1.0, -2.0];
-        let (out, r) = PivotReflector::compute(u_top, &u_low, &w, m, 0, 1e-14, 1.0);
+        let mut r = PivotReflector::empty();
+        let out = PivotReflector::compute_into(u_top, &u_low, &w, m, 0, 1e-14, 1.0, &mut r);
         assert_eq!(out, PivotOutcome::Ok);
-        let r = r.unwrap();
         let mut c_top = u_top;
         let mut c_low = u_low.clone();
         r.apply_split(&w, m, &mut c_top, &mut c_low);
@@ -442,16 +395,17 @@ mod tests {
     fn zero_norm_reported() {
         let m = 1;
         let w = spd_w(m);
-        let (out, r) = PivotReflector::compute(1.0, &[1.0], &w, m, 0, 1e-12, 1.0);
+        let mut r = PivotReflector::empty();
+        let out = PivotReflector::compute_into(1.0, &[1.0], &w, m, 0, 1e-12, 1.0, &mut r);
         assert!(matches!(out, PivotOutcome::ZeroNorm { .. }));
-        assert!(r.is_none());
     }
 
     #[test]
     fn wrong_sign_reported_for_pivot_variant() {
         let m = 1;
         let w = spd_w(m);
-        let (out, _) = PivotReflector::compute(1.0, &[2.0], &w, m, 0, 1e-12, 1.0);
+        let mut r = PivotReflector::empty();
+        let out = PivotReflector::compute_into(1.0, &[2.0], &w, m, 0, 1e-12, 1.0, &mut r);
         match out {
             PivotOutcome::WrongSign { hnorm } => assert!((hnorm + 3.0).abs() < 1e-14),
             other => panic!("expected WrongSign, got {other:?}"),

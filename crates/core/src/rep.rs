@@ -28,6 +28,7 @@ use bs_matrix::ldlt::Signature;
 use bs_matrix::par::{self, ExecPolicy};
 use bs_matrix::view::MatMut;
 use bs_matrix::{flops, Matrix, Scalar, Workspace};
+use bs_perfmodel::Rep;
 
 /// Which representation of the block hyperbolic Householder product to
 /// build and apply.
@@ -55,6 +56,29 @@ impl RepKind {
         RepKind::YTY,
         RepKind::Sequential,
     ];
+
+    /// The cost model's counterpart of this representation;
+    /// `Sequential` has no blocked-cost formula.
+    pub fn model(self) -> Option<Rep> {
+        match self {
+            RepKind::Accumulated => Some(Rep::Accumulated),
+            RepKind::VY1 => Some(Rep::VY1),
+            RepKind::VY2 => Some(Rep::VY2),
+            RepKind::YTY => Some(Rep::YTY),
+            RepKind::Sequential => None,
+        }
+    }
+}
+
+impl From<Rep> for RepKind {
+    fn from(r: Rep) -> RepKind {
+        match r {
+            Rep::Accumulated => RepKind::Accumulated,
+            Rep::VY1 => RepKind::VY1,
+            Rep::VY2 => RepKind::VY2,
+            Rep::YTY => RepKind::YTY,
+        }
+    }
 }
 
 impl std::fmt::Display for RepKind {

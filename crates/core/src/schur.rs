@@ -359,7 +359,7 @@ mod two_level_tests {
 
     #[test]
     fn panel_chunking_produces_expected_chunk_count() {
-        use crate::panel::factor_panel_two_level;
+        use crate::panel::{factor_panel_into, PanelScratch};
         use bs_matrix::ldlt::Signature;
         let m = 6;
         let w = Signature::hyperbolic(m);
@@ -368,7 +368,20 @@ mod two_level_tests {
             p[(j, j)] = 2.0;
             p[(m + j, j)] = 0.5;
         }
-        let reps = factor_panel_two_level(p.mt(), &w, RepKind::VY2, 0, 1e-13, 1.0, 4).unwrap();
+        let mut reps = Vec::new();
+        factor_panel_into(
+            p.mt(),
+            &w,
+            RepKind::VY2,
+            0,
+            1e-13,
+            1.0,
+            4,
+            &mut reps,
+            &mut PanelScratch::default(),
+            &mut bs_matrix::Workspace::new(),
+        )
+        .unwrap();
         assert_eq!(reps.len(), 2); // chunks of 4 and 2
         assert_eq!(reps[0].len(), 4);
         assert_eq!(reps[1].len(), 2);

@@ -6,12 +6,12 @@
 //!   reports what a modeled machine (e.g. the T3D) would have measured.
 //! * **Wall transport** ([`World::run_wall`]) — measured runs: ranks
 //!   are dedicated OS threads exchanging owned data through the same
-//!   channels, `compute`/`advance` are no-ops, and `time()` reports
-//!   real elapsed wall-clock seconds since the group launched.
+//!   channels, `compute` is a no-op, and `time()` reports real elapsed
+//!   wall-clock seconds since the group launched.
 //!
 //! Both transports share one `Proc` API (send/recv/broadcast/barrier/
-//! gather), one poison protocol for rank failure, and one observability
-//! surface: `CommBytes`/`CommMessages` on the send side,
+//! allreduce_max), one poison protocol for rank failure, and one
+//! observability surface: `CommBytes`/`CommMessages` on the send side,
 //! `CommRecvBytes`/`CommRecvMessages` on the receive side, and a
 //! `CommWaitNs` histogram sample per blocked receive or barrier.
 
@@ -121,8 +121,7 @@ enum Timing {
         cost: Arc<dyn CostModel>,
     },
     /// Real elapsed time since the group launched (measured runs).
-    /// `compute`/`advance` are no-ops: the work itself already took the
-    /// time.
+    /// `compute` is a no-op: the work itself already took the time.
     Wall { start: Instant },
 }
 
@@ -176,11 +175,6 @@ impl Proc {
         self.rank
     }
 
-    #[inline]
-    pub fn num_ranks(&self) -> usize {
-        self.np
-    }
-
     /// Current time at this rank: the virtual clock under
     /// [`World::run`], elapsed wall seconds under [`World::run_wall`].
     #[inline]
@@ -215,14 +209,6 @@ impl Proc {
     pub fn compute(&mut self, flops: f64, prim: Primitive) {
         if let Timing::Virtual { clock, cost } = &mut self.timing {
             *clock += cost.compute_time(flops, prim);
-        }
-    }
-
-    /// Advance the local clock by raw seconds (model hooks). No-op on
-    /// the wall transport.
-    pub fn advance(&mut self, seconds: f64) {
-        if let Timing::Virtual { clock, .. } = &mut self.timing {
-            *clock += seconds;
         }
     }
 
@@ -398,44 +384,6 @@ impl Proc {
         }
         maxv
     }
-
-    /// Gather each rank's payload at `root` (rank order). Non-roots
-    /// return `None`.
-    pub fn gather(&mut self, root: usize, tag: u64, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        if self.rank == root {
-            let mut out: Vec<Vec<f64>> = Vec::with_capacity(self.np);
-            for src in 0..self.np {
-                if src == root {
-                    out.push(data.to_vec());
-                } else {
-                    out.push(self.recv(src, tag));
-                }
-            }
-            Some(out)
-        } else {
-            self.send(root, tag, data);
-            None
-        }
-    }
-
-    /// All-gather: every rank receives every rank's payload, in rank
-    /// order. Implemented as gather-at-0 plus broadcast of the packed
-    /// buffer (costs accounted through those primitives).
-    pub fn allgather(&mut self, tag: u64, data: &[f64]) -> Vec<Vec<f64>> {
-        let len = data.len();
-        let packed = match self.gather(0, tag, data) {
-            Some(parts) => {
-                let mut flat = Vec::with_capacity(self.np * len);
-                for p in &parts {
-                    assert_eq!(p.len(), len, "allgather requires equal payload sizes");
-                    flat.extend_from_slice(p);
-                }
-                self.broadcast(0, tag.wrapping_add(1), &flat)
-            }
-            None => self.broadcast(0, tag.wrapping_add(1), &[]),
-        };
-        packed.chunks(len.max(1)).map(|c| c.to_vec()).collect()
-    }
 }
 
 /// Factory for a group of communicating ranks.
@@ -464,7 +412,7 @@ impl World {
     /// Run `f` on `np` ranks under the wall-clock transport: each rank
     /// is a dedicated OS thread, `time()` reports real elapsed seconds
     /// since the group launched (one shared epoch, taken just before
-    /// the rank threads spawn), and `compute`/`advance` are no-ops.
+    /// the rank threads spawn), and `compute` is a no-op.
     /// Panics in any rank propagate; a blocked `recv` converts into a
     /// diagnostic panic after [`WallOpts::recv_deadline`].
     pub fn run_wall<T, F>(np: usize, opts: WallOpts, f: F) -> Vec<T>
@@ -694,59 +642,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod collective_tests {
-    use super::*;
-    use crate::cost::ZeroCost;
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = World::run(4, Arc::new(ZeroCost), |p| {
-            let mine = vec![p.rank() as f64; 2];
-            p.gather(1, 9, &mine)
-        });
-        assert!(out[0].is_none() && out[2].is_none());
-        let parts = out[1].as_ref().unwrap();
-        for (r, part) in parts.iter().enumerate() {
-            assert_eq!(part, &vec![r as f64; 2]);
-        }
-    }
-
-    #[test]
-    fn allgather_gives_everyone_everything() {
-        let out = World::run(3, Arc::new(ZeroCost), |p| {
-            p.allgather(5, &[10.0 * p.rank() as f64])
-        });
-        for parts in out {
-            assert_eq!(parts.len(), 3);
-            for (r, part) in parts.iter().enumerate() {
-                assert_eq!(part, &vec![10.0 * r as f64]);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_advances_root_clock_past_senders() {
-        let cost = Arc::new(crate::cost::UniformCost {
-            flop_rate: 1e9,
-            bandwidth: 8e3,
-            latency: 0.0,
-            barrier_per_stage: 0.0,
-        });
-        let out = World::run(2, cost, |p| {
-            if p.rank() == 0 {
-                p.gather(0, 1, &[0.0; 100]);
-                p.time()
-            } else {
-                p.gather(0, 1, &[0.0; 100]);
-                0.0
-            }
-        });
-        // 100 doubles at 8 kB/s = 0.1 s transfer visible at the root.
-        assert!(out[0] >= 0.1 - 1e-12, "root time {}", out[0]);
-    }
-}
-
-#[cfg(test)]
 mod wall_tests {
     use super::*;
 
@@ -756,7 +651,6 @@ mod wall_tests {
             let t0 = p.time();
             // A virtual-model charge must NOT advance wall time.
             p.compute(1e12, Primitive::Generic);
-            p.advance(1e6);
             std::thread::sleep(Duration::from_millis(20));
             p.barrier();
             (t0, p.time())
@@ -872,9 +766,11 @@ mod wall_tests {
         let run = || {
             World::run_wall(4, WallOpts::default(), |p| {
                 let mine = vec![1.0 / (p.rank() as f64 + 3.0); 8];
-                let all = p.allgather(11, &mine);
-                all.into_iter()
-                    .flatten()
+                (0..4)
+                    .flat_map(|root| {
+                        let data: &[f64] = if p.rank() == root { &mine } else { &[] };
+                        p.broadcast(root, 11 + root as u64, data)
+                    })
                     .map(f64::to_bits)
                     .collect::<Vec<u64>>()
             })

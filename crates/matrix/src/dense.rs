@@ -94,11 +94,6 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_fn(r, c, |i, j| rows[i][j])
     }
 
-    /// Column vector from a slice.
-    pub fn col_vector(v: &[T]) -> Self {
-        Matrix::from_col_major(v.len(), 1, v.to_vec())
-    }
-
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows

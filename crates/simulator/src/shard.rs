@@ -5,38 +5,51 @@
 //! Every rank is a dedicated OS thread owning a packed shard of the
 //! generator, blocks crossing ownership boundaries travel through real
 //! channels, and the trailing update runs through the SIMD kernel
-//! engine (one [`BlockReflector::apply`] over the rank's packed
-//! trailing suffix). [`ShardOptions::clock`] picks how time is kept:
+//! engine (one [`BlockReflector::apply`] per pivot chunk over the
+//! rank's packed trailing suffix). [`ShardOptions::clock`] picks how
+//! time is kept:
 //!
 //! - [`Clock::Wall`] (the default) measures. The ranks run under
 //!   [`World::run_wall`] and [`ShardRun::wall_s`] is elapsed
 //!   wall-clock seconds.
 //! - [`Clock::Model`] predicts. The ranks run under [`World::run`], and
 //!   at each phase boundary they charge the cost model the paper's
-//!   per-phase quantities: the pivot owner's blocking flops, each
-//!   rank's application flops over its trailing blocks, and the panel
-//!   broadcast at the representation's wire size. [`ShardRun::wall_s`]
-//!   is then the modeled machine's seconds, which the closed-form
-//!   [`crate::analytic`] engine must reproduce.
+//!   per-phase quantities: each pivot chunk owner's share of the
+//!   blocking flops, each rank's application flops over its trailing
+//!   blocks, and the panel broadcast at the representation's wire
+//!   size. [`ShardRun::wall_s`] is then the modeled machine's seconds,
+//!   which the closed-form [`crate::analytic`] engine must reproduce.
 //!
 //! The charges are no-ops on the wall transport, so both clocks run one
 //! message schedule and produce the same factor.
 //!
+//! ## One rank body
+//!
+//! All three distributions run one step (§7.1): shift, pivot-panel
+//! broadcast, trailing update, barrier. Block column `j` belongs to the
+//! `spread` ranks starting at `scheme.owner(j, np)`, each holding an
+//! `mc = m/spread` column slice; V1 and V2 are the `spread = 1` case.
+//! The pivot panel is factored in `spread` chunks, one per rank of the
+//! pivot group — §6.2's two-level panel with its chunks on different
+//! ranks (V3's pipelined panel, §7.1.3). Each chunk's owner broadcasts
+//! its raw `2m × mc` slice and every rank factors it with the engine's
+//! own [`bs_core::panel::factor_chunk`].
+//!
 //! ## Ownership map and packing
 //!
-//! A rank stores its owned block columns **packed, sorted ascending by
-//! block index**, stacked upper-over-lower (`2m × owned·m` for V1/V2;
-//! `2m × owned·mc` column slices for V3). Ascending order makes the
-//! active trailing set `{j ≥ s+1}` a *contiguous column suffix* of the
-//! local shard at every step `s`, so the whole trailing update is one
-//! level-3 reflector application per rank — the shared-memory strip
-//! dispatch of §6 reproduced across address-space shards.
+//! A rank stores its block-column slices **packed, sorted ascending by
+//! block index**, stacked upper-over-lower (`2m × owned·mc`).
+//! Ascending order makes the active trailing set `{j ≥ s+1}` a
+//! *contiguous column suffix* of the local shard at every step `s`, so
+//! each chunk's trailing update is one level-3 reflector application
+//! per rank — the shared-memory strip dispatch of §6 reproduced across
+//! address-space shards.
 //!
 //! ## Determinism contract
 //!
 //! Every per-step message has a deterministic (source, tag, layout):
 //! shifts batch ascending-`j` blocks into one message per destination
-//! and unpack by the same enumeration; the pivot panel is broadcast
+//! and unpack by the same enumeration; every pivot chunk is broadcast
 //! raw and refactored identically on every rank; receives are
 //! selective by `(source, tag)`. Thread scheduling can reorder
 //! *arrivals*, never *contents*, so a run's factor is a pure function
@@ -46,7 +59,7 @@
 use crate::analytic::apply_dim;
 use crate::scheme::Scheme;
 use bs_core::eliminate::normalize_diagonal;
-use bs_core::panel::factor_panel;
+use bs_core::panel::{factor_chunk, PanelScratch};
 use bs_core::rep::{BlockReflector, RepKind};
 use bs_distmem::{CostModel, Primitive, Proc, WallOpts, World};
 use bs_matrix::ldlt::Signature;
@@ -138,7 +151,7 @@ impl ShardRun {
     }
 }
 
-/// Per-rank output collected by both scheme executors:
+/// Per-rank output of the rank body:
 /// `(step, block col, col offset, width, m×width upper data)` tiles
 /// plus the timing/traffic footers.
 struct RankOut {
@@ -163,21 +176,7 @@ pub fn factor_sharded(t: &SymBlockToeplitz, opts: &ShardOptions) -> ShardRun {
     let gen = build_generator(t).expect("SPD generator");
     assert!(gen.is_spd_signature(), "factor_sharded requires SPD input");
     let scale = t.norm_inf().max(1.0);
-    let outs = match opts.scheme {
-        Scheme::V3 { spread } => run_v3(&gen.data, m, p, spread, opts, scale),
-        _ => run_v12(&gen.data, m, p, opts, scale),
-    };
-    assemble(outs, m, p)
-}
-
-/// Map a `bs-core` representation to its cost-model counterpart.
-fn rep_to_model(rep: RepKind) -> pm::Rep {
-    match rep {
-        RepKind::Accumulated => pm::Rep::Accumulated,
-        RepKind::VY1 => pm::Rep::VY1,
-        RepKind::VY2 | RepKind::Sequential => pm::Rep::VY2,
-        RepKind::YTY => pm::Rep::YTY,
-    }
+    assemble(run_ranks(&gen.data, m, p, opts, scale), m, p)
 }
 
 /// Gather the per-rank tiles into the full factor and normalize signs,
@@ -204,54 +203,75 @@ fn assemble(outs: Vec<RankOut>, m: usize, p: usize) -> ShardRun {
     }
 }
 
-/// V1/V2 executor: whole block columns per rank, packed ascending.
-fn run_v12(gen: &Matrix, m: usize, p: usize, opts: &ShardOptions, scale: f64) -> Vec<RankOut> {
-    let scheme = opts.scheme;
-    let np = opts.np;
-    let rep = opts.rep;
-    let mrep = rep_to_model(rep);
+/// The rank body of every scheme (see "One rank body" above): rank `r`
+/// holds column slice `r % spread` (`mc = m/spread` columns) of each
+/// block its group owns, packed ascending, and every rank factors each
+/// broadcast raw pivot chunk with [`factor_chunk`].
+fn run_ranks(gen: &Matrix, m: usize, p: usize, opts: &ShardOptions, scale: f64) -> Vec<RankOut> {
+    let (scheme, np, rep) = (opts.scheme, opts.np, opts.rep);
+    // The cost model has no blocking formula for `Sequential`; it is
+    // charged as VY2.
+    let mrep = rep.model().unwrap_or(pm::Rep::VY2);
+    let spread = scheme.spread();
+    assert!(
+        m.is_multiple_of(spread),
+        "V3 requires spread ({spread}) to divide the block size ({m})"
+    );
+    let mc = m / spread;
     let w = Signature::hyperbolic(m);
     opts.clock.launch(np, |px: &mut Proc| {
         let rank = px.rank();
-        // Owned block columns, ascending: slot i holds block owned[i]
-        // at local columns i·m..(i+1)·m, upper half stacked on lower.
-        let owned: Vec<usize> = (0..p).filter(|&j| scheme.owner(j, np) == rank).collect();
+        let intra = rank % spread;
+        // First rank of this rank's group: the owner of its blocks.
+        let lead = rank - intra;
+        let cstart = intra * mc;
+        // Owned block columns, ascending: slot i holds block owned[i]'s
+        // column slice cstart..cstart+mc at local columns
+        // i·mc..(i+1)·mc, upper half stacked on lower.
+        let owned: Vec<usize> = (0..p).filter(|&j| scheme.owner(j, np) == lead).collect();
         let slot_of = |j: usize| owned.binary_search(&j).expect("owned block");
-        let mut local = Matrix::zeros(2 * m, owned.len() * m);
+        // Column-major storage range of slot i's full 2m × mc slice.
+        let slot_range = |i: usize| i * mc * 2 * m..(i + 1) * mc * 2 * m;
+        let mut local = Matrix::zeros(2 * m, owned.len() * mc);
         for (i, &j) in owned.iter().enumerate() {
             local
-                .sub_mut(0, i * m, 2 * m, m)
-                .copy_from(gen.sub(0, j * m, 2 * m, m));
+                .sub_mut(0, i * mc, 2 * m, mc)
+                .copy_from(gen.sub(0, j * m + cstart, 2 * m, mc));
         }
         let mut ws = Workspace::new();
         let exec = ExecPolicy::sequential();
+        let mut scratch = PanelScratch::default();
+        let mut chunk_reps: Vec<BlockReflector> = (0..spread)
+            .map(|_| BlockReflector::new(rep, w.clone(), mc))
+            .collect();
         let mut r_tiles: Vec<(usize, usize, usize, usize, Vec<f64>)> = Vec::new();
         // Emit block row 0 (the generator's upper row).
         for (i, &j) in owned.iter().enumerate() {
-            let tile = local.sub(0, i * m, m, m).to_matrix();
-            r_tiles.push((0, j, 0, m, tile.as_slice().to_vec()));
+            let tile = local.sub(0, i * mc, m, mc).to_matrix();
+            r_tiles.push((0, j, cstart, mc, tile.into_col_major()));
         }
 
         for s in 1..p {
-            // ---- Shift: upper block j -> column j+1. Capture every
-            // outgoing payload first (reads of pre-shift state), then
-            // move local blocks descending j (each destination's old
-            // value is already consumed), then exchange. ----
+            // ---- Shift: upper slice of block j -> block j+1, same
+            // slice index. Capture every outgoing payload first (reads
+            // of pre-shift state), then move local blocks descending j
+            // (each destination's old value is already consumed), then
+            // exchange one batched message per peer. ----
             let mut outgoing: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
             for j in (s - 1)..(p - 1) {
-                if scheme.owner(j, np) == rank {
-                    let dst = scheme.owner(j + 1, np);
+                if scheme.owner(j, np) == lead {
+                    let dst = scheme.owner(j + 1, np) + intra;
                     if dst != rank {
-                        let up = local.sub(0, slot_of(j) * m, m, m).to_matrix();
+                        let up = local.sub(0, slot_of(j) * mc, m, mc).to_matrix();
                         outgoing.entry(dst).or_default().extend(up.as_slice());
                     }
                 }
             }
             for j in ((s - 1)..(p - 1)).rev() {
-                if scheme.owner(j, np) == rank && scheme.owner(j + 1, np) == rank {
-                    let up = local.sub(0, slot_of(j) * m, m, m).to_matrix();
+                if scheme.owner(j, np) == lead && scheme.owner(j + 1, np) == lead {
+                    let up = local.sub(0, slot_of(j) * mc, m, mc).to_matrix();
                     local
-                        .sub_mut(0, slot_of(j + 1) * m, m, m)
+                        .sub_mut(0, slot_of(j + 1) * mc, m, mc)
                         .copy_from(up.rf());
                 }
             }
@@ -260,8 +280,8 @@ fn run_v12(gen: &Matrix, m: usize, p: usize, opts: &ShardOptions, scale: f64) ->
             }
             let mut incoming: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for j in s..p {
-                if scheme.owner(j, np) == rank {
-                    let src = scheme.owner(j - 1, np);
+                if scheme.owner(j, np) == lead {
+                    let src = scheme.owner(j - 1, np) + intra;
                     if src != rank {
                         incoming.entry(src).or_default().push(j);
                     }
@@ -269,62 +289,77 @@ fn run_v12(gen: &Matrix, m: usize, p: usize, opts: &ShardOptions, scale: f64) ->
             }
             for (src, js) in &incoming {
                 let data = px.recv(*src, s as u64);
-                assert_eq!(data.len(), js.len() * m * m, "shift framing");
+                assert_eq!(data.len(), js.len() * m * mc, "shift framing");
                 for (idx, &j) in js.iter().enumerate() {
-                    let up =
-                        Matrix::from_col_major(m, m, data[idx * m * m..(idx + 1) * m * m].to_vec());
-                    local.sub_mut(0, slot_of(j) * m, m, m).copy_from(up.rf());
+                    let up = Matrix::from_col_major(
+                        m,
+                        mc,
+                        data[idx * m * mc..(idx + 1) * m * mc].to_vec(),
+                    );
+                    local.sub_mut(0, slot_of(j) * mc, m, mc).copy_from(up.rf());
                 }
             }
             px.barrier();
 
-            // ---- Panel: the owner ships its raw 2m×m pivot panel;
-            // every rank refactors it (identical arithmetic, so the
-            // group agrees on the reflector bit-for-bit without a
-            // representation codec on the wire). A model charges the
-            // owner's blocking flops and the representation's wire
-            // size, not the raw panel. ----
-            let piv_owner = scheme.owner(s, np);
-            let tag = (p * p + s) as u64;
-            let wire = pm::comm_words(mrep, m) * 8;
-            let panel_data: Vec<f64> = if rank == piv_owner {
-                px.compute(pm::blocking_flops(mrep, m, m), Primitive::Blas2 { dim: m });
-                let i = slot_of(s);
-                let data = local
-                    .sub(0, i * m, 2 * m, m)
-                    .to_matrix()
-                    .as_slice()
-                    .to_vec();
-                if np > 1 {
-                    px.broadcast_charged(piv_owner, tag, &data, wire)
+            // ---- Panel: chunk c of pivot block column s lives on rank
+            // piv + c. Its owner ships the raw 2m×mc slice and every
+            // rank factors it (identical arithmetic, so all ranks agree
+            // on the reflectors bit for bit without a representation
+            // codec on the wire). The owner keeps the factored slice;
+            // later ranks of the pivot group fold the chunk into their
+            // own slice before their turn. A model charges each chunk
+            // a 1/spread share of the owner's blocking flops and of the
+            // representation's wire size, not the raw slice. ----
+            let piv = scheme.owner(s, np);
+            let wire = pm::comm_words(mrep, m) * 8 / spread;
+            for (c, crep) in chunk_reps.iter_mut().enumerate() {
+                let owner = piv + c;
+                let tag = ((p + s) * spread + c) as u64;
+                let raw = if rank == owner {
+                    px.compute(
+                        pm::blocking_flops(mrep, m, m) / spread as f64,
+                        Primitive::Blas2 { dim: m },
+                    );
+                    let data = &local.as_slice()[slot_range(slot_of(s))];
+                    if np > 1 {
+                        px.broadcast_charged(owner, tag, data, wire)
+                    } else {
+                        data.to_vec()
+                    }
                 } else {
-                    data
+                    px.broadcast_charged(owner, tag, &[], wire)
+                };
+                let mut chunk = Matrix::from_col_major(2 * m, mc, raw);
+                crep.reset();
+                factor_chunk(chunk.mt(), c * mc, &w, s, 1e-13, scale, crep, &mut scratch)
+                    .expect("SPD panel");
+                if rank == owner {
+                    local.as_mut_slice()[slot_range(slot_of(s))].copy_from_slice(chunk.as_slice());
+                } else if lead == piv && intra > c {
+                    let slot = slot_of(s);
+                    crep.apply(local.sub_mut(0, slot * mc, 2 * m, mc), &exec, &mut ws);
                 }
-            } else {
-                px.broadcast_charged(piv_owner, tag, &[], wire)
-            };
-            let mut panel = Matrix::from_col_major(2 * m, m, panel_data);
-            let block_refl = factor_panel(panel.mt(), &w, rep, s, 1e-13, scale).expect("SPD panel");
-            if rank == piv_owner {
-                let i = slot_of(s);
-                local
-                    .sub_mut(0, i * m, m, m)
-                    .copy_from(panel.sub(0, 0, m, m));
-                local.sub_mut(m, i * m, m, m).fill(0.0);
+                if spread > 1 {
+                    px.barrier();
+                }
             }
 
-            // ---- Trailing update: one SIMD level-3 application over
-            // the packed suffix of owned blocks j >= s+1. ----
+            // ---- Trailing update: each chunk's reflectors over the
+            // packed suffix of owned blocks j >= s+1 (chunk order;
+            // columns are independent, so chunk-major equals
+            // block-major bit for bit). ----
             let first = owned.partition_point(|&j| j <= s);
-            charge_apply(px, mrep, m, 1, owned.len() - first);
-            apply_trailing(&block_refl, &mut local, first * m, &exec, &mut ws);
+            charge_apply(px, mrep, m, spread, owned.len() - first);
+            for crep in &chunk_reps {
+                apply_trailing(crep, &mut local, first * mc, &exec, &mut ws);
+            }
             px.barrier();
 
-            // ---- Emit block row s. ----
+            // ---- Emit block row s slices. ----
             for (i, &j) in owned.iter().enumerate() {
                 if j >= s {
-                    let tile = local.sub(0, i * m, m, m).to_matrix();
-                    r_tiles.push((s, j, 0, m, tile.as_slice().to_vec()));
+                    let tile = local.sub(0, i * mc, m, mc).to_matrix();
+                    r_tiles.push((s, j, cstart, mc, tile.into_col_major()));
                 }
             }
         }
@@ -371,209 +406,6 @@ fn charge_apply(px: &mut Proc, rep: pm::Rep, m: usize, spread: usize, blocks: us
             },
         );
     }
-}
-
-/// V3 executor: rank `g·spread + c` of group `g` owns the `mc = m/spread`
-/// column slice `c·mc..(c+1)·mc` of every block column `j` with
-/// `j mod groups == g`, packed ascending; the pivot panel is factored
-/// in `spread` pipelined chunks with one partial-reflector broadcast
-/// per chunk (§7.1.3).
-fn run_v3(
-    gen: &Matrix,
-    m: usize,
-    p: usize,
-    spread: usize,
-    opts: &ShardOptions,
-    scale: f64,
-) -> Vec<RankOut> {
-    let np = opts.np;
-    let rep = opts.rep;
-    let mrep = rep_to_model(rep);
-    assert!(
-        m.is_multiple_of(spread),
-        "V3 requires spread ({spread}) to divide the block size ({m})"
-    );
-    let groups = np / spread;
-    let mc = m / spread;
-    let w = Signature::hyperbolic(m);
-    opts.clock.launch(np, |px: &mut Proc| {
-        let rank = px.rank();
-        let group = rank / spread;
-        let intra = rank % spread;
-        let cstart = intra * mc;
-        let owned: Vec<usize> = (0..p).filter(|&j| j % groups == group).collect();
-        let slot_of = |j: usize| owned.binary_search(&j).expect("owned block");
-        // Packed 2m × owned·mc: slot i holds block owned[i]'s column
-        // slice cstart..cstart+mc, upper stacked on lower.
-        let mut local = Matrix::zeros(2 * m, owned.len() * mc);
-        for (i, &j) in owned.iter().enumerate() {
-            local
-                .sub_mut(0, i * mc, 2 * m, mc)
-                .copy_from(gen.sub(0, j * m + cstart, 2 * m, mc));
-        }
-        let mut ws = Workspace::new();
-        let exec = ExecPolicy::sequential();
-        let mut r_tiles: Vec<(usize, usize, usize, usize, Vec<f64>)> = Vec::new();
-        for (i, &j) in owned.iter().enumerate() {
-            let tile = local.sub(0, i * mc, m, mc).to_matrix();
-            r_tiles.push((0, j, cstart, mc, tile.as_slice().to_vec()));
-        }
-
-        for s in 1..p {
-            // ---- Shift: upper slices move to the next group, same
-            // intra-group index, one batched message (ascending j). ----
-            if groups == 1 {
-                for j in ((s - 1)..(p - 1)).rev() {
-                    let up = local.sub(0, slot_of(j) * mc, m, mc).to_matrix();
-                    local
-                        .sub_mut(0, slot_of(j + 1) * mc, m, mc)
-                        .copy_from(up.rf());
-                }
-            } else {
-                let dst_rank = (((group + 1) % groups) * spread) + intra;
-                let src_rank = (((group + groups - 1) % groups) * spread) + intra;
-                let mut outgoing: Vec<f64> = Vec::new();
-                for j in (s - 1)..(p - 1) {
-                    if j % groups == group {
-                        let up = local.sub(0, slot_of(j) * mc, m, mc).to_matrix();
-                        outgoing.extend(up.as_slice());
-                    }
-                }
-                if !outgoing.is_empty() {
-                    px.send(dst_rank, s as u64, &outgoing);
-                }
-                let expect: Vec<usize> = (s..p).filter(|&j| j % groups == group).collect();
-                if !expect.is_empty() {
-                    let data = px.recv(src_rank, s as u64);
-                    assert_eq!(data.len(), expect.len() * m * mc, "v3 shift framing");
-                    for (idx, &j) in expect.iter().enumerate() {
-                        let up = Matrix::from_col_major(
-                            m,
-                            mc,
-                            data[idx * m * mc..(idx + 1) * m * mc].to_vec(),
-                        );
-                        local.sub_mut(0, slot_of(j) * mc, m, mc).copy_from(up.rf());
-                    }
-                }
-            }
-            px.barrier();
-
-            // ---- Panel: `spread` pipelined chunks over the pivot
-            // block column s (owned by group gs). Each chunk owner
-            // factors its mc columns reflector-by-reflector and
-            // broadcasts the elementary reflectors in a fixed wire
-            // format (beta, sigma, pivot, x[2m]); everyone rebuilds
-            // the chunk's block representation. A model charges each
-            // chunk a 1/spread share of the panel's blocking flops and
-            // of the representation's wire size. ----
-            let gs = s % groups;
-            let wire = pm::comm_words(mrep, m) * 8 / spread;
-            let mut chunk_reps: Vec<BlockReflector> = Vec::with_capacity(spread);
-            for c in 0..spread {
-                let owner = gs * spread + c;
-                let tag = ((p + s) * spread + c) as u64;
-                let wire_data: Vec<f64> = if rank == owner {
-                    px.compute(
-                        pm::blocking_flops(mrep, m, m) / spread as f64,
-                        Primitive::Blas2 { dim: m },
-                    );
-                    // Earlier chunks already hit this rank's pivot
-                    // slice as their broadcasts arrived (the
-                    // `intra > c` branch below); factor my columns.
-                    let slot = slot_of(s);
-                    let mut sl = local.sub(0, slot * mc, 2 * m, mc).to_matrix();
-                    let mut wire_out = Vec::with_capacity(mc * (2 * m + 3));
-                    for local_c in 0..mc {
-                        let k = c * mc + local_c; // global pivot row
-                        let u_top = sl[(k, local_c)];
-                        let u_low: Vec<f64> = (0..m).map(|i| sl[(m + i, local_c)]).collect();
-                        let (outcome, refl) = bs_core::reflector::PivotReflector::compute(
-                            u_top, &u_low, &w, m, k, 1e-13, scale,
-                        );
-                        assert!(
-                            matches!(outcome, bs_core::reflector::PivotOutcome::Ok),
-                            "SPD pivot expected"
-                        );
-                        let refl = refl.expect("Ok outcome");
-                        sl[(k, local_c)] = -refl.sigma;
-                        for i in 0..m {
-                            sl[(m + i, local_c)] = 0.0;
-                        }
-                        for j2 in local_c + 1..mc {
-                            let col = sl.col_mut(j2);
-                            let (top, low) = col.split_at_mut(m);
-                            refl.apply_split(&w, m, &mut top[k], low);
-                        }
-                        let full = refl.to_full(m);
-                        wire_out.push(full.beta);
-                        wire_out.push(full.sigma);
-                        wire_out.push(full.pivot as f64);
-                        wire_out.extend(&full.x);
-                    }
-                    local.sub_mut(0, slot * mc, 2 * m, mc).copy_from(sl.rf());
-                    if np > 1 {
-                        px.broadcast_charged(owner, tag, &wire_out, wire)
-                    } else {
-                        wire_out
-                    }
-                } else {
-                    px.broadcast_charged(owner, tag, &[], wire)
-                };
-                let mut crep = BlockReflector::new(rep, w.clone(), mc);
-                let stride = 2 * m + 3;
-                assert_eq!(wire_data.len(), mc * stride, "v3 panel framing");
-                for lc in 0..mc {
-                    let off = lc * stride;
-                    let refl = bs_core::reflector::HypReflector {
-                        beta: wire_data[off],
-                        sigma: wire_data[off + 1],
-                        pivot: wire_data[off + 2] as usize,
-                        x: wire_data[off + 3..off + 3 + 2 * m].to_vec(),
-                    };
-                    crep.push(&refl);
-                }
-                // Later chunks of the pivot group fold the arriving
-                // chunk into their pivot slice right away (the
-                // pipeline dependency of §7.1.3).
-                if group == gs && intra > c && rank != owner {
-                    let slot = slot_of(s);
-                    crep.apply(local.sub_mut(0, slot * mc, 2 * m, mc), &exec, &mut ws);
-                }
-                px.barrier();
-                chunk_reps.push(crep);
-            }
-
-            // ---- Trailing update: each chunk's reflectors over the
-            // packed suffix of owned blocks j >= s+1 (chunk order;
-            // columns are independent, so chunk-major equals
-            // block-major bit-for-bit). ----
-            let first = owned.partition_point(|&j| j <= s);
-            charge_apply(px, mrep, m, spread, owned.len() - first);
-            for crep in &chunk_reps {
-                apply_trailing(crep, &mut local, first * mc, &exec, &mut ws);
-            }
-            px.barrier();
-
-            // ---- Emit block row s slices. ----
-            for (i, &j) in owned.iter().enumerate() {
-                if j >= s {
-                    let tile = local.sub(0, i * mc, m, mc).to_matrix();
-                    r_tiles.push((s, j, cstart, mc, tile.as_slice().to_vec()));
-                }
-            }
-        }
-
-        let wall = px.time();
-        let max_wall = px.allreduce_max(wall);
-        RankOut {
-            r_tiles,
-            wall,
-            max_wall,
-            bytes_sent: px.bytes_sent(),
-            bytes_recv: px.bytes_received(),
-            wait_ns: px.comm_wait_ns(),
-        }
-    })
 }
 
 #[cfg(test)]

@@ -83,12 +83,18 @@ echo "==> dist tier: sharded executor on both clocks plus scheme cross-validatio
 # residuals at NP in {1,2,4} across V1/V2/V3 on the wall clock, the
 # modeled-clock agreement tests (cost-model clock within 5% of the
 # analytic engine for V1/V2, more ranks cut modeled time, YTY charges
-# fewer broadcast bytes than VY), bitwise reproducibility, and the
-# distmem failure paths (poisoned barriers, recv-timeout diagnostics);
-# the quick dist_sweep run then measures the real multi-rank wall times
-# and cross-checks every scheme against the sequential factor (perf
-# floors self-waive on starved hosts).
+# fewer broadcast bytes than VY), bitwise reproducibility, the bitwise
+# pins of the one rank body (a one-rank shard of every scheme equals
+# factor_spd; V3 on one group of `spread` ranks equals the engine's
+# two-level panel with chunks of m/spread), and the distmem failure
+# paths (poisoned barriers, recv-timeout diagnostics). The
+# bs-simulator suite holds the shard's own tests: V1/V2/V3 against
+# sequential on both clocks, and modeled V3 against the analytic
+# engine. The quick dist_sweep run then measures the real multi-rank
+# wall times and cross-checks every scheme against the sequential
+# factor (perf floors self-waive on starved hosts).
 cargo test -q --test integration_distributed
+cargo test -q -p bs-simulator
 cargo run -q -p bs-bench --release --bin dist_sweep -- --quick
 TIERS+=("dist")
 

@@ -214,24 +214,63 @@ fn sharded_matches_sequential_across_schemes_and_np() {
     }
 }
 
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn one_rank_shard_equals_sequential_engine_bitwise() {
     // One rank runs the sequential engine's kernel on the same stacked
     // generator layout, so on either clock its factor must match
-    // `factor_spd` to the last bit — packed block sizes included.
-    let bits = |m: &Matrix| {
-        m.as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<u64>>()
-    };
+    // `factor_spd` to the last bit — packed block sizes included. At
+    // np = 1 every scheme is the one rank body at spread 1.
     for m in [1usize, 2, 4, 8, 16, 32] {
         let t = workloads::random_spd_block(m, 384 / m, (m * 13 + 5) as u64);
         let seq = bits(&factor_spd(&t, &SchurOptions::default()).unwrap().r);
-        let wall = factor_sharded(&t, &ShardOptions::new(Scheme::V1, 1));
-        let model = modeled(&t, 1, Scheme::V1, RepKind::VY2, T3DModel::default());
-        assert!(bits(&wall.r) == seq, "m={m}: wall-clock shard differs");
-        assert!(bits(&model.r) == seq, "m={m}: modeled-clock shard differs");
+        for scheme in [Scheme::V1, Scheme::V2 { b: 2 }, Scheme::V3 { spread: 1 }] {
+            let wall = factor_sharded(&t, &ShardOptions::new(scheme, 1));
+            let model = modeled(&t, 1, scheme, RepKind::VY2, T3DModel::default());
+            let label = scheme.label();
+            assert!(
+                bits(&wall.r) == seq,
+                "m={m} {label}: wall-clock shard differs"
+            );
+            assert!(
+                bits(&model.r) == seq,
+                "m={m} {label}: modeled-clock shard differs"
+            );
+        }
+    }
+}
+
+#[test]
+fn v3_one_group_equals_two_level_engine_bitwise() {
+    // V3 is §6.2's two-level panel with its chunks on different ranks:
+    // one group of `spread` ranks must return the engine's factor with
+    // chunks of m/spread, to the last bit, on either clock. The slices
+    // stay at mc <= 8 columns: at m = 32, spread = 2 (mc = 16) the
+    // packed gemm path groups the columns of a rank's 16-wide slices
+    // differently from the engine's full-width trailing update, and
+    // the factors differ by ~1e-15.
+    for (m, spread) in [(4usize, 2usize), (8, 2), (8, 4), (16, 4)] {
+        let t = workloads::random_spd_block(m, 256 / m, (m * 7 + spread) as u64);
+        let opts = SchurOptions {
+            two_level: Some(m / spread),
+            exec: ExecPolicy::sequential(),
+            ..Default::default()
+        };
+        let seq = bits(&factor_spd(&t, &opts).unwrap().r);
+        let scheme = Scheme::V3 { spread };
+        let wall = factor_sharded(&t, &ShardOptions::new(scheme, spread));
+        let model = modeled(&t, spread, scheme, RepKind::VY2, T3DModel::default());
+        assert!(
+            bits(&wall.r) == seq,
+            "m={m} spread={spread}: wall-clock shard differs"
+        );
+        assert!(
+            bits(&model.r) == seq,
+            "m={m} spread={spread}: modeled-clock shard differs"
+        );
     }
 }
 
@@ -245,12 +284,6 @@ fn sharded_factor_is_bitwise_reproducible() {
         let opts = ShardOptions::new(scheme, 2);
         let a = factor_sharded(&t, &opts);
         let b = factor_sharded(&t, &opts);
-        let bits = |m: &Matrix| {
-            m.as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<u64>>()
-        };
         assert_eq!(
             bits(&a.r),
             bits(&b.r),
