@@ -35,7 +35,10 @@ use bs_toeplitz::SymBlockToeplitz;
 #[derive(Clone, Debug)]
 pub struct IndefOptions {
     /// Perturbation size `δ` for singular minors; `None` selects the
-    /// analysis optimum `ε^{1/3}` (eq. 45-46).
+    /// analysis optimum `ε^{1/3}` (eq. 45-46), with `ε` the unit
+    /// roundoff of the factorization's own precision: 6.1e-6 for an
+    /// f64 factor, 4.9e-3 for an f32 one (f64's δ is at f32 rounding
+    /// level, where refinement stalls).
     pub delta: Option<f64>,
     /// Whether singular minors may be perturbed at all. When `false`
     /// a singular minor aborts with [`Error::SingularMinor`].
@@ -55,9 +58,28 @@ impl Default for IndefOptions {
 }
 
 impl IndefOptions {
-    /// Effective perturbation size.
+    /// Effective perturbation size of an f64 factorization.
     pub fn effective_delta(&self) -> f64 {
-        self.delta.unwrap_or_else(|| f64::EPSILON.cbrt())
+        self.effective_delta_for::<f64>()
+    }
+
+    /// Effective perturbation size of a factorization at precision `T`:
+    /// the first `δ` of its schedule.
+    pub fn effective_delta_for<T: Scalar>(&self) -> f64 {
+        self.schedule::<T>(1)[0]
+    }
+
+    /// The `δ` schedule of a pass at precision `T` that may perturb up
+    /// to `k` singular minors: `δᵢ = ε^{1/3^{k−i}}`, graded so the
+    /// first perturbation is the smallest, or the fixed
+    /// [`delta`](Self::delta) throughout.
+    fn schedule<T: Scalar>(&self, k: usize) -> Vec<f64> {
+        match self.delta {
+            Some(d) => vec![d; 16], // fixed δ, effectively unbounded
+            None => (0..k)
+                .map(|i| T::EPSILON.powf(1.0 / 3f64.powi((k - i) as i32)))
+                .collect(),
+        }
     }
 }
 
@@ -153,15 +175,9 @@ pub fn factor_indefinite<T: Scalar>(
 ) -> Result<IndefFactor<T>> {
     let mut ws = Workspace::new();
     let mut scratch = EngineScratch::default();
-    let eps = f64::EPSILON;
     let max_k = 3usize;
     for k in 1..=max_k {
-        let schedule: Vec<f64> = match opts.delta {
-            Some(d) => vec![d; 16], // fixed δ, effectively unbounded
-            None => (0..k)
-                .map(|i| eps.powf(1.0 / 3f64.powi((k - i) as i32)))
-                .collect(),
-        };
+        let schedule = opts.schedule::<T>(k);
         match eliminate_indefinite(t, opts, &schedule, &mut ws, &mut scratch)? {
             Attempt::Done(f) => return Ok(*f),
             Attempt::NeedsLongerSchedule => continue,

@@ -44,7 +44,10 @@ pub enum Precision {
     #[default]
     F64,
     /// Factor in f32 and promote: roughly half the factor time on
-    /// SIMD-bound shapes, residuals at f32 resolution, no recovery.
+    /// SIMD-bound shapes. An unperturbed factor answers directly, at
+    /// f32 resolution; a δ-perturbed one (singular minor, δ graded
+    /// from f32's ε) refines against the f64 operator like any
+    /// perturbed factor.
     F32,
     /// Factor in f32, promote, and refine every solve against the f64
     /// operator until the residual bound is met; when refinement
@@ -615,6 +618,16 @@ impl FactorPlan {
     /// The indefinite-fallback options the plan executes with.
     pub fn indefinite_options(&self) -> &IndefOptions {
         &self.indefinite
+    }
+
+    /// The `δ` a singular minor is perturbed by in the plan's first
+    /// factorization: [`Precision::F32`] and [`Precision::Mixed`]
+    /// factor at f32 first, so theirs is graded from f32's `ε`.
+    pub fn effective_delta(&self) -> f64 {
+        match self.precision {
+            Precision::F64 => self.indefinite.effective_delta(),
+            Precision::F32 | Precision::Mixed => self.indefinite.effective_delta_for::<f32>(),
+        }
     }
 }
 

@@ -136,6 +136,10 @@ pub fn trsv_lower<T: Scalar>(a: MatRef<'_, T>, b: &mut [T], unit_diag: bool) -> 
 }
 
 /// Solve `U x = b` (non-unit upper triangle) in place in `b`.
+///
+/// One axpy per column over split slices, so the inner loop carries no
+/// bounds check and vectorizes; every `b[i]` still takes its terms one
+/// column at a time.
 pub fn trsv_upper<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
@@ -143,16 +147,17 @@ pub fn trsv_upper<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     metrics::incr(Counter::TriangularSolves);
     flops::add_l2((n * n) as u64);
     for j in (0..n).rev() {
-        let d = a.get(j, j);
+        let col = a.col(j);
+        let d = col[j];
         if d == T::ZERO {
             return Err(Error::SingularTriangle { index: j });
         }
-        b[j] /= d;
-        let bj = b[j];
+        let (head, tail) = b.split_at_mut(j);
+        tail[0] /= d;
+        let bj = tail[0];
         if bj != T::ZERO {
-            let col = a.col(j);
-            for i in 0..j {
-                b[i] -= bj * col[i];
+            for (bi, &c) in head.iter_mut().zip(&col[..j]) {
+                *bi -= bj * c;
             }
         }
     }
@@ -181,7 +186,20 @@ pub fn trsv_lower_t<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     Ok(())
 }
 
+/// Partial sums each row's dot product in [`trsv_upper_t`] is split
+/// into. Fixed, so the bits do not depend on the vector width.
+const LANES: usize = 8;
+
 /// Solve `Uᵀ x = b` with `U` upper triangular, in place in `b`.
+///
+/// Row `j` is `x[j] = (b[j] − Σ − col[t]·x[t] for t in full..j) / col[j]`,
+/// where `full` is `j` rounded down to a multiple of 8 and `Σ` is the
+/// dot of `col[..full]` with `x[..full]` taken in 8 partial sums and
+/// reduced by one fixed pairwise tree. The partial sums are independent,
+/// so the dot vectorizes; the tail terms are subtracted one at a time,
+/// so rows shorter than one lane group keep the plain serial order. The
+/// order is fixed and Rust never fuses a multiply-add, so every target
+/// and every set of enabled target features returns the same bits.
 pub fn trsv_upper_t<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
@@ -190,17 +208,38 @@ pub fn trsv_upper_t<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     flops::add_l2((n * n) as u64);
     for j in 0..n {
         let col = a.col(j);
-        let mut s = b[j];
-        for i in 0..j {
-            s -= col[i] * b[i];
+        let full = j - j % LANES;
+        let (x, rest) = b.split_at_mut(j);
+        let mut s = rest[0];
+        if full > 0 {
+            let mut acc = [T::ZERO; LANES];
+            for (c, xs) in col[..full]
+                .chunks_exact(LANES)
+                .zip(x[..full].chunks_exact(LANES))
+            {
+                for l in 0..LANES {
+                    acc[l] += c[l] * xs[l];
+                }
+            }
+            s -= lane_sum(acc);
+        }
+        for (&c, &xt) in col[full..j].iter().zip(&x[full..]) {
+            s -= c * xt;
         }
         let d = col[j];
         if d == T::ZERO {
             return Err(Error::SingularTriangle { index: j });
         }
-        b[j] = s / d;
+        rest[0] = s / d;
     }
     Ok(())
+}
+
+/// The fixed pairwise tree that reduces [`trsv_upper_t`]'s partial sums.
+#[inline(always)]
+fn lane_sum<T: Scalar>(v: [T; LANES]) -> T {
+    let q = [v[0] + v[4], v[1] + v[5], v[2] + v[6], v[3] + v[7]];
+    (q[0] + q[2]) + (q[1] + q[3])
 }
 
 #[cfg(test)]
@@ -321,5 +360,161 @@ mod tests {
         let mut b = [1.0, 5.0];
         trsv_lower(l.rf(), &mut b, true).unwrap();
         assert_eq!(b, [1.0, 2.0]);
+    }
+
+    /// Orders that straddle the lane width (8) and a longer solve.
+    const ORDERS: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 256];
+
+    /// A well-conditioned upper triangle (`|u_jj| ≥ 1`) and a right-hand
+    /// side, both filled from an xorshift stream.
+    fn upper_system<T: Scalar>(n: usize, seed: u64) -> (Matrix<T>, Vec<T>) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state % 2001) as f64 - 1000.0) / 1000.0
+        };
+        let u = Matrix::from_fn(n, n, |i, j| {
+            let v = next();
+            match i.cmp(&j) {
+                std::cmp::Ordering::Greater => T::ZERO,
+                std::cmp::Ordering::Equal => T::from_f64(1.0 + v.abs()),
+                std::cmp::Ordering::Less => T::from_f64(v),
+            }
+        });
+        let b = (0..n).map(|_| T::from_f64(next())).collect();
+        (u, b)
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// `trsv_upper_t` as it was before the lane split: one serial chain
+    /// of subtractions per row.
+    fn serial_upper_t<T: Scalar>(u: &Matrix<T>, b: &mut [T]) {
+        for j in 0..b.len() {
+            let col = u.col(j);
+            let mut s = b[j];
+            for i in 0..j {
+                s -= col[i] * b[i];
+            }
+            b[j] = s / col[j];
+        }
+    }
+
+    /// `trsv_upper_t`'s documented order written out index by index:
+    /// partial sum `i % 8` over the largest multiple of 8 below the
+    /// diagonal, the pairwise tree, then the tail one term at a time.
+    fn lane_order_upper_t<T: Scalar>(u: &Matrix<T>, b: &mut [T]) {
+        for j in 0..b.len() {
+            let col = u.col(j);
+            let full = j / 8 * 8;
+            let mut v = [T::ZERO; 8];
+            for i in 0..full {
+                v[i % 8] += col[i] * b[i];
+            }
+            let mut s = b[j];
+            if full > 0 {
+                s -= ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+            }
+            for i in full..j {
+                s -= col[i] * b[i];
+            }
+            b[j] = s / col[j];
+        }
+    }
+
+    /// `trsv_upper`'s order: one axpy per column, last column first.
+    fn axpy_order_upper<T: Scalar>(u: &Matrix<T>, b: &mut [T]) {
+        for j in (0..b.len()).rev() {
+            let col = u.col(j);
+            b[j] /= col[j];
+            let bj = b[j];
+            if bj != T::ZERO {
+                for i in 0..j {
+                    b[i] -= bj * col[i];
+                }
+            }
+        }
+    }
+
+    /// The bits of both upper solves are set by their written order, so
+    /// no target or enabled target feature can change them.
+    fn upper_solves_follow_their_fixed_order<T: Scalar>() {
+        for n in ORDERS {
+            let (u, b) = upper_system::<T>(n, 11 + n as u64);
+            let mut got_t = b.clone();
+            trsv_upper_t(u.rf(), &mut got_t).unwrap();
+            let mut want_t = b.clone();
+            lane_order_upper_t(&u, &mut want_t);
+            assert_eq!(
+                bits(&got_t),
+                bits(&want_t),
+                "{} n={n}: trsv_upper_t",
+                T::NAME
+            );
+            let mut got = b.clone();
+            trsv_upper(u.rf(), &mut got).unwrap();
+            let mut want = b;
+            axpy_order_upper(&u, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{} n={n}: trsv_upper", T::NAME);
+        }
+    }
+
+    #[test]
+    fn upper_solves_follow_their_fixed_order_f64() {
+        upper_solves_follow_their_fixed_order::<f64>();
+    }
+
+    #[test]
+    fn upper_solves_follow_their_fixed_order_f32() {
+        upper_solves_follow_their_fixed_order::<f32>();
+    }
+
+    #[test]
+    fn rows_shorter_than_a_lane_group_keep_the_serial_order() {
+        for n in ORDERS {
+            for seed in 0..4 {
+                let (u, b) = upper_system::<f64>(n, 100 * seed + n as u64);
+                let mut want = b.clone();
+                serial_upper_t(&u, &mut want);
+                let mut got = b;
+                trsv_upper_t(u.rf(), &mut got).unwrap();
+                let short = n.min(8);
+                assert_eq!(
+                    bits(&got[..short]),
+                    bits(&want[..short]),
+                    "n={n} seed={seed}: a row shorter than 8 left the serial order"
+                );
+                let err = got
+                    .iter()
+                    .zip(&want)
+                    .map(|(g, w)| (g - w).abs() / w.abs().max(1.0))
+                    .fold(0.0f64, f64::max);
+                assert!(err < 1e-12, "n={n} seed={seed}: lane split drifted {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_diagonal_is_reported_at_its_index_by_both_upper_solves() {
+        let n = 20;
+        for k in [0, n / 2, n - 1] {
+            let (mut u, b) = upper_system::<f64>(n, 7);
+            u[(k, k)] = 0.0;
+            let want = Err(crate::Error::SingularTriangle { index: k });
+            assert_eq!(
+                trsv_upper_t(u.rf(), &mut b.clone()),
+                want,
+                "trsv_upper_t, zero at {k}"
+            );
+            assert_eq!(
+                trsv_upper(u.rf(), &mut b.clone()),
+                want,
+                "trsv_upper, zero at {k}"
+            );
+        }
     }
 }

@@ -49,7 +49,11 @@ TIERS+=("exec")
 echo "==> kernel tier: full workspace suite forced onto the portable microkernel"
 # BS_KERNEL=portable pins the scalar microkernel: every test must pass
 # with SIMD dispatch disabled (the fallback the engine degrades to on
-# hardware without AVX2/NEON).
+# hardware without AVX2/NEON). The upper triangular solves
+# (blas2::trsv_upper_t / trsv_upper) have no ISA dispatch: one fixed
+# summation order and no FMA give the same bits on every target, so a
+# solve's bits depend on the factor it reads, not on the tier.
+# blas2's unit tests pin that order.
 BS_KERNEL=portable cargo test -q --workspace
 TIERS+=("kernel")
 

@@ -598,7 +598,7 @@ pub fn cmd_plan(
         plan.precision().as_str(),
         match plan.precision() {
             Precision::F64 => "",
-            Precision::F32 => " (demoted factor, no refinement)",
+            Precision::F32 => " (demoted factor, refined only after a δ perturbation)",
             Precision::Mixed => " (f32 factor + f64 iterative refinement)",
         }
     );
@@ -626,7 +626,7 @@ pub fn cmd_plan(
     let _ = writeln!(
         out,
         "  fallback: indefinite kernel, delta = {:.6e}",
-        plan.indefinite_options().effective_delta()
+        plan.effective_delta()
     );
     Ok(out)
 }

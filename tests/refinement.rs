@@ -15,6 +15,8 @@
 //! - on the ill-conditioned tail the refinement stalls, the solver
 //!   falls back to a full f64 refactorization (observable via
 //!   `Counter::MixedStallFallbacks`), and the answer *recovers*;
+//! - an F32 plan answers every sweep operator, singular minors
+//!   included, at backward error ≤ 1e-5;
 //! - refinement iteration counts surface in `Counter::RefineIterations`;
 //! - `BS_PRECISION` forces plan requests onto the selected precision
 //!   (the check.sh precision-tier hook).
@@ -126,6 +128,26 @@ fn f32_factor_alone_is_single_precision_accurate() {
         .map(|(a, c)| (a - c).abs())
         .fold(0.0f64, f64::max);
     assert!(errmx < 1e-8, "mixed solve error {errmx:e}");
+}
+
+#[test]
+fn f32_answers_every_sweep_operator() {
+    // F32 factors grade a singular minor's δ from f32's own ε, so the
+    // perturbed factor refines against the f64 operator like any other;
+    // with f64's δ (6.1e-6, at f32 rounding level) it stalled and the
+    // solve was refused. Unperturbed f32 factors answer directly, at
+    // f32 resolution.
+    for t in sweep() {
+        let (b, _) = workloads::rhs_for_ones(&t);
+        let s32 = solver_with(&t, Precision::F32);
+        let x = s32
+            .solve(&b)
+            .unwrap_or_else(|e| panic!("n={}: f32 solve refused: {e}", t.order()));
+        let xnorm = x.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let bnorm = b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let eta = residual_inf(&t, &x, &b) / (t.norm_inf() * xnorm + bnorm);
+        assert!(eta <= 1e-5, "n={}: f32 backward error {eta:e}", t.order());
+    }
 }
 
 #[test]
