@@ -135,6 +135,25 @@ mod tests {
     }
 
     #[test]
+    fn agrees_with_block_schur_at_serving_size() {
+        // The engine's m_s = 1 step and this rotation loop apply the same
+        // hyperbolic transformations in different forms, so their R
+        // agree to roundoff (1.1–1.6e-14 relative at n = 256).
+        for seed in 0..3 {
+            let t = workloads::random_spd_scalar(256, seed);
+            let r1 = scalar_schur_factor(&first_row(&t)).unwrap();
+            let opts = bs_core::SchurOptions {
+                block_size: Some(1),
+                ..Default::default()
+            };
+            let f = bs_core::factor_spd(&t, &opts).unwrap();
+            let scale = f.r.as_slice().iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            let rel = r1.max_abs_diff(&f.r) / scale;
+            assert!(rel < 1e-13, "seed {seed}: relative disagreement {rel:e}");
+        }
+    }
+
+    #[test]
     fn rejects_indefinite() {
         let t = workloads::random_indefinite_scalar(8, 2);
         assert!(scalar_schur_factor(&first_row(&t)).is_err());

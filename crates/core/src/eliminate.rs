@@ -15,16 +15,30 @@
 //!   Exchanges do not commute past the blocked representations, so the
 //!   trailing update is per-reflector.
 //!
-//! Both keep the generator stacked, upper half over lower half, and
-//! realize phase 3 as an explicit move of the upper half one block to
-//! the right inside that buffer. The paper's §6.4 alternative, pairing
-//! upper block column `j − s` with lower block column `j` so nothing
-//! moves, needs the halves stored apart and therefore a second
-//! reflector kernel with half-height products; on this engine that
-//! layout is slower (DESIGN.md §7).
+//! Both keep the generator stacked, upper half over lower half. Phase 3
+//! moves the upper half one block to the right inside that buffer. In
+//! an SPD step whose reflector products all stream (VY chunks below the
+//! packed GEMM threshold, i.e. every chunk's `k < 16`: all of
+//! `m_s < 16`, and two-level chunks of `k < 16` at larger `m_s`) and
+//! whose policy keeps the update inline, no move happens as a pass of
+//! its own: one descending sweep reads each trailing column's shifted
+//! upper rows by index offset from column `c − m`, applies the step's
+//! reflectors and writes the column's `R` entries — the paper's §6.4
+//! "no phase-3 copy", done inside the one stacked buffer. Other steps,
+//! pooled ones included, and the indefinite kernel move the upper half
+//! explicitly. (§6.4's own layout, the halves stored apart
+//! so that upper block column `j − s` pairs with lower block column
+//! `j`, needs a second reflector kernel with half-height products and
+//! measured slower here; DESIGN.md §7.)
 //!
-//! The kernels share the panel / reflector / diagonal normalization
-//! machinery. Each factorization gets one fresh [`Workspace`] and one
+//! Every `R` producer — both kernels here and the shard gather — writes
+//! each factor row once through [`emit_rows`], with the row's sign
+//! (that of its diagonal entry, known once its pivot panel is factored)
+//! already applied and the strict lower part of its diagonal block
+//! written as zero. There is no normalization pass afterwards.
+//!
+//! The kernels share the panel / reflector / `R` emission machinery.
+//! Each factorization gets one fresh [`Workspace`] and one
 //! `EngineScratch` (`eliminate_spd` makes its own; `factor_indefinite`
 //! shares one pair across its backtracking passes): the first step
 //! allocates the working buffers and the other `p − 2` steps reuse
@@ -38,15 +52,15 @@ use crate::rep::BlockReflector;
 use crate::schur::SchurOptions;
 use crate::{Error, Result};
 use bs_matrix::ldlt::Signature;
-use bs_matrix::{Matrix, Scalar, Workspace};
+use bs_matrix::{MatRef, Matrix, Scalar, Workspace};
 use bs_probe::metrics::{self, Counter};
 use bs_probe::stability;
 use bs_toeplitz::{build_generator, SymBlockToeplitz};
 use std::borrow::Cow;
 
 /// Engine state one factorization reuses across its steps: the
-/// per-chunk block reflectors, the panel scratch, and the indefinite
-/// kernel's elementary reflector.
+/// per-chunk block reflectors, the panel scratch, the indefinite
+/// kernel's elementary reflector, and the step's `R` emission state.
 #[derive(Debug)]
 pub(crate) struct EngineScratch<T: Scalar = f64> {
     /// Panel-factorization scratch (pivot reflector and
@@ -56,6 +70,12 @@ pub(crate) struct EngineScratch<T: Scalar = f64> {
     reps: Vec<BlockReflector<T>>,
     /// The indefinite kernel's elementary reflector.
     refl: PivotReflector<T>,
+    /// The pivot block column's upper rows from before its shift
+    /// (`m × m`, column-major): the source of the first trailing
+    /// block's shifted upper rows.
+    saved: Vec<T>,
+    /// Per row of the current `R` row block: negate it on emission.
+    neg: Vec<bool>,
 }
 
 impl<T: Scalar> Default for EngineScratch<T> {
@@ -64,6 +84,8 @@ impl<T: Scalar> Default for EngineScratch<T> {
             panel: PanelScratch::default(),
             reps: Vec::new(),
             refl: PivotReflector::empty(),
+            saved: Vec::new(),
+            neg: Vec::new(),
         }
     }
 }
@@ -100,16 +122,19 @@ pub(crate) fn retiled<'a, T: Scalar>(
 
 /// SPD elimination kernel (phases 1–3 of §6). `t_ref` must already be
 /// retiled to the algorithmic block size (see [`retiled`]). Writes each
-/// factor block row into the upper triangle of the `n × n` matrix `r`;
-/// rows are *not* sign-normalized. Returns `(m, p, comm_words_per_step)`.
+/// factor block row, sign-normalized (see [`emit_rows`]), into the upper
+/// triangle of the `n × n` matrix `r`, which must be zero below its
+/// diagonal. Returns `(m, p, comm_words_per_step)`.
 ///
 /// The working generator is one stacked `2m × n` buffer checked out of
 /// this factorization's own [`Workspace`] — the layout every shard rank
 /// packs — so the pivot panel is factored in place and each trailing
-/// update is one reflector application over a contiguous `2m × q`
-/// view. Later steps reuse what the first one checked out, and every
-/// buffer is back in the arena before this function exits, even on
-/// error.
+/// update runs over contiguous `2m`-row columns: one inline sweep
+/// through [`BlockReflector::stream_col`] when the step's products all
+/// stream and the policy keeps the update inline, one reflector
+/// application per chunk over a `2m × q` view otherwise. Later
+/// steps reuse what the first one checked out, and every buffer is back
+/// in the arena before this function exits, even on error.
 pub(crate) fn eliminate_spd<T: Scalar>(
     t_ref: &SymBlockToeplitz<T>,
     opts: &SchurOptions,
@@ -136,7 +161,8 @@ pub(crate) fn eliminate_spd<T: Scalar>(
     g.mt().copy_from(gen.data.rf());
 
     // R block row 0 is the untransformed upper generator half.
-    r.sub_mut(0, 0, m, n).copy_from(g.sub(0, 0, m, n));
+    set_negations(&mut scratch.neg, m, |i| g[(i, i)]);
+    emit_rows(r, 0, 0, g.sub(0, 0, m, n), &scratch.neg);
 
     let mut comm_words = 0usize;
     let scale = t_ref.norm_inf().max(1.0);
@@ -154,11 +180,15 @@ pub(crate) fn eliminate_spd<T: Scalar>(
         let step_t0 = bs_probe::histogram::is_enabled().then(std::time::Instant::now);
         metrics::incr(Counter::SchurSteps);
 
-        // Phase 3: move the upper half right by one block. Columns go
-        // in descending order, so each source is read before it is
-        // overwritten.
+        // Phase 3 for the pivot block column: keep its upper rows (the
+        // first trailing block shifts in from them), then move block
+        // column s − 1's upper rows into it.
         let data = g.as_mut_slice();
-        for c in (s * m..n).rev() {
+        scratch.saved.clear();
+        for c in s * m..(s + 1) * m {
+            scratch
+                .saved
+                .extend_from_slice(&data[c * 2 * m..c * 2 * m + m]);
             let src = (c - m) * 2 * m;
             data.copy_within(src..src + m, c * 2 * m);
         }
@@ -198,8 +228,12 @@ pub(crate) fn eliminate_spd<T: Scalar>(
             );
         }
 
-        // Phase 2: trailing update, one chunk transformation after the
-        // other.
+        // The diagonal block of R row block s fixes the row signs.
+        set_negations(&mut scratch.neg, m, |i| g[(i, s * m + i)]);
+        emit_rows(r, s * m, s * m, g.sub(0, s * m, m, m), &scratch.neg);
+
+        // Phases 3 and 2 on the trailing columns, one chunk
+        // transformation after the other, and their R entries.
         let trail = width - m;
         if trail > 0 {
             let apply_flops0 = if bs_probe::trace::is_enabled() {
@@ -208,8 +242,63 @@ pub(crate) fn eliminate_spd<T: Scalar>(
                 0
             };
             let apply_span = bs_probe::span!("apply_rep", step = s, cols = trail);
-            for rep in &scratch.reps {
-                rep.apply(g.sub_mut(0, (s + 1) * m, 2 * m, trail), &opts.exec, &mut ws);
+            // A step whose products stream is one inline sweep, unless
+            // the policy fans the update out to the pool: then the
+            // strips stream their columns in parallel after an explicit
+            // shift. Both run `stream_col` per column, so the bits agree.
+            let sweep_inline = scratch
+                .reps
+                .iter()
+                .all(|rep| rep.streams(trail) && !rep.fans_out(trail, &opts.exec));
+            if sweep_inline {
+                for rep in &scratch.reps {
+                    rep.charge_streamed(trail, &opts.exec);
+                }
+                let k_max = scratch.reps.iter().map(|rep| rep.len()).max().unwrap_or(0);
+                let one_chunk = scratch.reps.len() == 1 && k_max == m;
+                let mut z = ws.take_vec(k_max);
+                let sweep = match (one_chunk, m) {
+                    (true, 1) => stream_trailing::<T, 1>,
+                    (true, 2) => stream_trailing::<T, 2>,
+                    (true, 3) => stream_trailing::<T, 3>,
+                    (true, 4) => stream_trailing::<T, 4>,
+                    (true, 5) => stream_trailing::<T, 5>,
+                    (true, 6) => stream_trailing::<T, 6>,
+                    (true, 7) => stream_trailing::<T, 7>,
+                    (true, 8) => stream_trailing::<T, 8>,
+                    _ => stream_trailing::<T, 0>,
+                };
+                sweep(
+                    g.as_mut_slice(),
+                    r,
+                    m,
+                    s,
+                    &scratch.saved,
+                    &scratch.neg,
+                    &scratch.reps,
+                    &mut z,
+                );
+                ws.give_vec(z);
+            } else {
+                let data = g.as_mut_slice();
+                for c in ((s + 2) * m..n).rev() {
+                    let src = (c - m) * 2 * m;
+                    data.copy_within(src..src + m, c * 2 * m);
+                }
+                for (b, c) in ((s + 1) * m..(s + 2) * m).enumerate() {
+                    data[c * 2 * m..c * 2 * m + m]
+                        .copy_from_slice(&scratch.saved[b * m..(b + 1) * m]);
+                }
+                for rep in &scratch.reps {
+                    rep.apply(g.sub_mut(0, (s + 1) * m, 2 * m, trail), &opts.exec, &mut ws);
+                }
+                emit_rows(
+                    r,
+                    s * m,
+                    (s + 1) * m,
+                    g.sub(0, (s + 1) * m, m, trail),
+                    &scratch.neg,
+                );
             }
             drop(apply_span);
             if bs_probe::trace::is_enabled() {
@@ -220,10 +309,6 @@ pub(crate) fn eliminate_spd<T: Scalar>(
                 );
             }
         }
-
-        // Emit R block row s.
-        r.sub_mut(s * m, s * m, m, width)
-            .copy_from(g.sub(0, s * m, m, width));
 
         if bs_probe::trace::is_enabled() {
             bs_probe::event!(
@@ -248,6 +333,108 @@ pub(crate) fn eliminate_spd<T: Scalar>(
     match failure {
         Some(e) => Err(e),
         None => Ok((m, p, comm_words)),
+    }
+}
+
+/// Phases 3 and 2 of a streamed step and the trailing part of `R` row
+/// block `s`, in one descending sweep over the trailing columns of the
+/// stacked generator `data` (`2m` entries per column). Each column
+/// takes its shifted upper rows by index offset from column `c − m` —
+/// from `saved` (the pivot block column's pre-shift upper rows) for the
+/// first trailing block, whose source column already holds the
+/// factored pivot panel — goes through each chunk of `reps` in order
+/// ([`BlockReflector::stream_col`]), and writes its `R` entries
+/// negated where `neg` says.
+/// Descending order reads every upper half before it is overwritten,
+/// like the explicit shift. Each column's arithmetic is the
+/// column-wise [`BlockReflector::apply`]'s, so the factor does not
+/// depend on strips or threads.
+///
+/// `M > 0` fixes `m = M` with one chunk of `M` reflectors at compile
+/// time, so `z` and the column live in registers; `M = 0` handles any
+/// shape with `z` (at least the largest chunk long) in memory, and at
+/// `m_s = 1` took 2.4× as long on a 2-vCPU AVX2 host (EXPERIMENTS.md,
+/// "Fused sweep vs explicit route").
+#[allow(clippy::too_many_arguments)] // one step's state, read in the column loop
+fn stream_trailing<T: Scalar, const M: usize>(
+    data: &mut [T],
+    r: &mut Matrix<T>,
+    m: usize,
+    s: usize,
+    saved: &[T],
+    neg: &[bool],
+    reps: &[BlockReflector<T>],
+    z: &mut [T],
+) {
+    let m = if M > 0 { M } else { m };
+    let rows = 2 * m;
+    let row0 = s * m;
+    let c0 = row0 + m;
+    let ncols = data.len() / rows;
+    let neg = &neg[..m];
+    for c in (c0..ncols).rev() {
+        let (head, tail) = data.split_at_mut(c * rows);
+        let col = &mut tail[..rows];
+        let src = c - m;
+        col[..m].copy_from_slice(if src >= c0 {
+            &head[src * rows..src * rows + m]
+        } else {
+            &saved[(src - row0) * m..(src - row0 + 1) * m]
+        });
+        for rep in reps {
+            if M > 0 {
+                rep.stream_col(col, &mut [T::ZERO; M]);
+            } else {
+                rep.stream_col(col, &mut z[..rep.len()]);
+            }
+        }
+        emit_col(&mut r.col_mut(c)[row0..row0 + m], &col[..m], neg, m);
+    }
+}
+
+/// Set `neg[i]` for the `m` rows of an `R` row block from their
+/// diagonal entries `diag(i)`: a row is negated on emission when its
+/// diagonal is negative, so `R` has a positive diagonal (`RᵀR` and
+/// `RᵀDR` are invariant under row sign changes).
+fn set_negations<T: Scalar>(neg: &mut Vec<bool>, m: usize, diag: impl Fn(usize) -> T) {
+    neg.clear();
+    neg.extend((0..m).map(|i| diag(i) < T::ZERO));
+}
+
+/// Write `R` rows `row0..row0 + m` from `src` (`m × w`, whose columns
+/// are `R` columns `col0..col0 + w`) under the one sign rule every `R`
+/// producer follows: row `i` is negated when `neg[i]`, and entries left
+/// of the diagonal — in exact arithmetic zero, in a factored diagonal
+/// block `O(ε)` roundoff — are written as zero. No other entry of `r`
+/// is touched, and each is written once, so no normalization pass
+/// follows.
+pub fn emit_rows<T: Scalar>(
+    r: &mut Matrix<T>,
+    row0: usize,
+    col0: usize,
+    src: MatRef<'_, T>,
+    neg: &[bool],
+) {
+    let m = src.rows();
+    for b in 0..src.cols() {
+        let c = col0 + b;
+        let live = (c + 1).saturating_sub(row0);
+        emit_col(&mut r.col_mut(c)[row0..row0 + m], src.col(b), neg, live);
+    }
+}
+
+/// One column of an `R` row block: `dst[i] = ±src[i]` (negated where
+/// `neg[i]`) for `i < live`, zero from `live` on.
+#[inline(always)]
+fn emit_col<T: Scalar>(dst: &mut [T], src: &[T], neg: &[bool], live: usize) {
+    for (i, ((d, &x), &ng)) in dst.iter_mut().zip(src).zip(neg).enumerate() {
+        *d = if i >= live {
+            T::ZERO
+        } else if ng {
+            -x
+        } else {
+            x
+        };
     }
 }
 
@@ -326,7 +513,8 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
 
     let mut r = ws.take_matrix(n, n);
     // Emit block row 0.
-    r.sub_mut(0, 0, m, n).copy_from(g.sub(0, 0, m, n));
+    set_negations(&mut scratch.neg, m, |i| g[(i, i)]);
+    emit_rows(&mut r, 0, 0, g.sub(0, 0, m, n), &scratch.neg);
     d[..m].copy_from_slice(&w.0[..m]);
 
     let mut exchanges = 0usize;
@@ -502,8 +690,14 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
         }
 
         // Emit block row s with its signature.
-        r.sub_mut(s * m, s * m, m, n - s * m)
-            .copy_from(g.sub(0, s * m, m, n - s * m));
+        set_negations(&mut scratch.neg, m, |i| g[(i, s * m + i)]);
+        emit_rows(
+            &mut r,
+            s * m,
+            s * m,
+            g.sub(0, s * m, m, n - s * m),
+            &scratch.neg,
+        );
         d[s * m..(s + 1) * m].copy_from_slice(&w.0[..m]);
         crate::contracts::signature_consistency(&w.0, w_sum, s);
         if bs_probe::trace::is_enabled() {
@@ -522,9 +716,6 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
         }
     }
 
-    // Positive diagonal normalization (row sign flips leave RᵀDR fixed)
-    // and removal of O(ε) sub-diagonal roundoff.
-    normalize_diagonal(&mut r);
     // paranoid: the factor keeps `r` checked out, so the balance delta
     // across a completed elimination is exactly +1.
     ws.contract_region("eliminate_indefinite", ws_entry, 1);
@@ -540,23 +731,45 @@ pub(crate) fn eliminate_indefinite<T: Scalar>(
     })))
 }
 
-/// Flip the sign of rows whose diagonal is negative so `R` has a
-/// positive diagonal (`RᵀR` / `RᵀDR` are invariant under row sign
-/// changes), and zero the strict lower triangle — within each emitted
-/// diagonal block the sub-diagonal entries are exact zeros in exact
-/// arithmetic but carry `O(ε)` roundoff from the level-3 updates.
-pub fn normalize_diagonal<T: Scalar>(r: &mut Matrix<T>) {
-    let n = r.rows();
-    for i in 0..n {
-        if r[(i, i)] < T::ZERO {
-            for j in i..n {
-                r[(i, j)] = -r[(i, j)];
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn emit_rows_applies_one_sign_rule_and_touches_nothing_else() {
+        // R rows 2..5 from columns 2..6 of a 6 × 6 factor. The block's
+        // diagonals are 1, −5 and −0.0: only the row whose diagonal is
+        // negative flips (signed zeros with it), entries left of the
+        // diagonal become +0.0 whatever they held, and every entry
+        // outside the block keeps its sentinel.
+        let src = Matrix::from_fn(3, 4, |i, j| match (i, j) {
+            (1, 1) => -5.0,
+            (2, 2) => -0.0,
+            (0, 3) => -0.0,
+            (1, 3) => 0.0,
+            _ if i > j => 1e-17,
+            _ => (10 * i + j) as f64 + 1.0,
+        });
+        let mut neg = Vec::new();
+        set_negations(&mut neg, 3, |i| src[(i, i)]);
+        assert_eq!(neg, [false, true, false]);
+        let sentinel = 7.0;
+        let mut r = Matrix::from_fn(6, 6, |_, _| sentinel);
+        emit_rows(&mut r, 2, 2, src.rf(), &neg);
+        for i in 0..6 {
+            for j in 0..6 {
+                let got = r[(i, j)].to_bits();
+                let want = if !(2..5).contains(&i) || j < 2 {
+                    sentinel
+                } else if i > j {
+                    0.0
+                } else if neg[i - 2] {
+                    -src[(i - 2, j - 2)]
+                } else {
+                    src[(i - 2, j - 2)]
+                };
+                assert_eq!(got, want.to_bits(), "r[({i}, {j})]");
             }
-        }
-    }
-    for j in 0..n {
-        for i in j + 1..n {
-            r[(i, j)] = T::ZERO;
         }
     }
 }

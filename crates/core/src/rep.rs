@@ -21,14 +21,22 @@
 //! generator stacked, upper half over lower half — the layout of the
 //! sequential engine's working generator, of every shard rank's packed
 //! columns, and of the pivot panel.
+//!
+//! Below the packed-GEMM threshold ([`bs_matrix::blas3::uses_packed`])
+//! a VY product is not applied through `gemm` at all: the two products
+//! would both run the unpacked triple loop, so `stream_col` does that
+//! loop's arithmetic one column at a time, with `z = Yᵀg` held in
+//! registers instead of a `k × q` buffer. The elimination's small-block
+//! step sweeps its trailing columns through it directly.
 
 use crate::reflector::{HypReflector, PivotReflector};
-use bs_matrix::blas3::{gemm_ws, Trans};
+use bs_matrix::blas3::{gemm_ws, uses_packed, Trans};
 use bs_matrix::ldlt::Signature;
 use bs_matrix::par::{self, ExecPolicy};
 use bs_matrix::view::MatMut;
 use bs_matrix::{flops, Matrix, Scalar, Workspace};
 use bs_perfmodel::Rep;
+use bs_probe::metrics::{self, Counter};
 
 /// Which representation of the block hyperbolic Householder product to
 /// build and apply.
@@ -397,8 +405,8 @@ impl<T: Scalar> BlockReflector<T> {
         // thread count — so every thread count performs identical
         // arithmetic (see DESIGN.md §9).
         let q = g.cols();
-        let width = exec.partition.strip_width(q);
-        if self.apply_work(q) < exec.min_work as u128 || width >= q {
+        let width = self.strip_width(q, exec);
+        if width >= q {
             self.apply_cols(g, ws);
             return;
         }
@@ -413,15 +421,110 @@ impl<T: Scalar> BlockReflector<T> {
             rest = tail;
             start += w;
         }
-        if exec.threads <= 1 || par::in_dispatch() {
+        if self.fans_out(q, exec) {
+            par::for_each_policy(exec, strips, |s| {
+                par::with_worker_ws(|wws| self.apply_cols(s, wws));
+            });
+        } else {
             // Same strips, executed inline with the caller's workspace.
             for s in strips {
                 self.apply_cols(s, ws);
             }
+        }
+    }
+
+    /// Whether [`apply`](Self::apply) to `q` columns under `exec` runs
+    /// its strips on the worker pool rather than inline.
+    pub(crate) fn fans_out(&self, q: usize, exec: &ExecPolicy) -> bool {
+        exec.threads > 1 && !par::in_dispatch() && self.strip_width(q, exec) < q
+    }
+
+    /// Width of the strips [`apply`](Self::apply) cuts `q` columns into
+    /// under `exec`; `q` itself when it runs them as one group.
+    fn strip_width(&self, q: usize, exec: &ExecPolicy) -> usize {
+        let width = exec.partition.strip_width(q);
+        if self.apply_work(q) < exec.min_work as u128 || width >= q {
+            q
         } else {
-            par::for_each_policy(exec, strips, |s| {
-                par::with_worker_ws(|wws| self.apply_cols(s, wws));
-            });
+            width
+        }
+    }
+
+    /// Whether applying this product to `q` columns streams them through
+    /// [`stream_col`](Self::stream_col) instead of two `gemm`s: a VY
+    /// product whose products `Yᵀ G` (`k × 2m · 2m × q`) and `V Z`
+    /// would both fall below the packed threshold and so run the
+    /// unpacked triple loop, which `stream_col` reproduces bit for bit.
+    /// Narrower column groups never leave the streamed path, since the
+    /// threshold is monotone in `q`. For a step's `2m × q` trailing
+    /// columns (`q` a multiple of `m`) that is a VY product with
+    /// `k < 16`, whatever `m`.
+    pub(crate) fn streams(&self, q: usize) -> bool {
+        matches!(self.kind, RepKind::VY1 | RepKind::VY2) && !uses_packed(self.k, q, self.n)
+    }
+
+    /// `g ← Wᵏ g + V (Yᵀ g)` on one stacked column, in the order of the
+    /// two unpacked `gemm`s it replaces: `z_i` sums `g_p · Y[p, i]` over
+    /// `p` from `+0`, skipping exact-zero `g_p`; then the `Wᵏ` sign
+    /// flips; then `g += z_p · V[:, p]` over `p`, skipping exact-zero
+    /// `z_p`. `g` is the whole `2m`-entry column and `z` is `len()`
+    /// long, holding no state between calls; callers that pass
+    /// fixed-size slices get, inlined, a fully unrolled kernel with `z`
+    /// in registers. Counters are the caller's: see
+    /// [`charge_streamed`](Self::charge_streamed).
+    #[inline(always)]
+    pub(crate) fn stream_col(&self, g: &mut [T], z: &mut [T]) {
+        let n = g.len();
+        let v = &self.left.as_slice()[..n * z.len()];
+        let y = &self.right.as_slice()[..n * z.len()];
+        let w = &self.w.0[..n];
+        z.fill(T::ZERO);
+        for (p, &gp) in g.iter().enumerate() {
+            if gp == T::ZERO {
+                continue;
+            }
+            for (i, zi) in z.iter_mut().enumerate() {
+                *zi += gp * y[i * n + p];
+            }
+        }
+        if z.len() % 2 == 1 {
+            for (gi, &wi) in g.iter_mut().zip(w) {
+                if wi < 0 {
+                    *gi = -*gi;
+                }
+            }
+        }
+        for (p, &zp) in z.iter().enumerate() {
+            if zp == T::ZERO {
+                continue;
+            }
+            for (gi, &vi) in g.iter_mut().zip(&v[p * n..(p + 1) * n]) {
+                *gi += zp * vi;
+            }
+        }
+    }
+
+    /// Charge the counters that [`apply`](Self::apply) to `q` columns
+    /// under `exec` charges when it streams them: what the `gemm`
+    /// formulation charged, one call per strip. A caller that streams the
+    /// columns itself charges this once, so flop and byte totals do not
+    /// depend on which path ran.
+    pub(crate) fn charge_streamed(&self, q: usize, exec: &ExecPolicy) {
+        self.charge_gemms(q, q.div_ceil(self.strip_width(q, exec)));
+    }
+
+    /// The counters of the `gemm` formulation over `q` columns in
+    /// `groups` calls: two level-3 products of `2·k·2m·q` flops and
+    /// their operand bytes per call, and one flop per `Wᵏ` sign flip.
+    fn charge_gemms(&self, q: usize, groups: usize) {
+        let (n, k) = (self.n, self.k);
+        flops::add_l3(4 * (n * k * q) as u64);
+        metrics::add(
+            Counter::BytesMoved,
+            (T::BYTES * (2 * n * k * groups + 3 * (n + k) * q)) as u64,
+        );
+        if k % 2 == 1 {
+            flops::add((self.w.negatives() * q) as u64);
         }
     }
 
@@ -435,6 +538,15 @@ impl<T: Scalar> BlockReflector<T> {
         let n = self.n;
         let k = self.k;
         let q = g.cols();
+        if self.streams(q) {
+            self.charge_gemms(q, 1);
+            let mut z = ws.take_vec(k);
+            for j in 0..q {
+                self.stream_col(g.col_mut(j), &mut z);
+            }
+            ws.give_vec(z);
+            return;
+        }
         match self.kind {
             RepKind::Sequential => {
                 for j in 0..q {
@@ -734,6 +846,66 @@ mod tests {
         let mut ws = Workspace::new();
         let ((), counted) = flops::measure(|| b.apply(g.mt(), &ExecPolicy::sequential(), &mut ws));
         assert_eq!(counted, (8 * m * q + m * q) as u64);
+    }
+
+    /// `G ← Wᵏ G + V (Yᵀ G)` as the two `gemm`s a streamed apply
+    /// replaces; for the shapes below both run the unpacked loop.
+    fn two_gemm_reference(b: &BlockReflector, g: &mut Matrix) {
+        let (n, k, q) = (b.n, b.k, g.cols());
+        assert!(
+            !uses_packed(k, q, n),
+            "reference must run the unpacked gemm"
+        );
+        let mut z = Matrix::zeros(k, q);
+        let (v, y) = (b.left.sub(0, 0, n, k), b.right.sub(0, 0, n, k));
+        gemm(1.0, y, Trans::Yes, g.rf(), Trans::No, 0.0, z.mt());
+        apply_wk(&b.w, k, g.mt());
+        gemm(1.0, v, Trans::No, z.rf(), Trans::No, 1.0, g.mt());
+    }
+
+    #[test]
+    fn streamed_vy_apply_matches_the_two_gemm_formulation_bitwise() {
+        use bs_probe::metrics::{self, Counter};
+        let bits = |g: &Matrix| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = Workspace::new();
+        for kind in [RepKind::VY1, RepKind::VY2] {
+            for m in 1..=8usize {
+                for k in 1..=m {
+                    let (w, rs) = make_reflectors(m, k, 31 + (8 * m + k) as u64);
+                    let mut b = BlockReflector::new(kind, w, k);
+                    for r in &rs {
+                        b.push(r);
+                    }
+                    for q in [0usize, 1, 3, 15, 16, 17, 64] {
+                        // Exact +0.0 and −0.0 entries throughout, and every
+                        // fifth column all signed zeros, so both zero skips
+                        // and the signs they preserve are exercised.
+                        let g0 = Matrix::from_fn(2 * m, q, |i, j| match (i * 7 + j * 3) % 11 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ if j % 5 == 2 && (i + j) % 2 == 0 => 0.0,
+                            _ if j % 5 == 2 => -0.0,
+                            v => (v as f64 - 5.0) / 3.0 + j as f64 * 0.01,
+                        });
+                        assert!(q == 0 || b.streams(q), "{kind} m={m} k={k} q={q}");
+                        let mut want = g0.clone();
+                        let bytes0 = metrics::local_get(Counter::BytesMoved);
+                        let ((), want_flops) = flops::measure(|| two_gemm_reference(&b, &mut want));
+                        let want_bytes = metrics::local_get(Counter::BytesMoved) - bytes0;
+                        let mut got = g0.clone();
+                        let bytes0 = metrics::local_get(Counter::BytesMoved);
+                        let ((), got_flops) = flops::measure(|| {
+                            b.apply(got.mt(), &ExecPolicy::sequential(), &mut ws)
+                        });
+                        let got_bytes = metrics::local_get(Counter::BytesMoved) - bytes0;
+                        let case = format!("{kind} m={m} k={k} q={q}");
+                        assert!(bits(&got) == bits(&want), "{case}: bits differ");
+                        assert_eq!(got_flops, want_flops, "{case}: flops");
+                        assert_eq!(got_bytes, want_bytes, "{case}: bytes");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,20 @@
 //! 3. shift the upper block row one block to the right.
 //!
 //! The working generator is one stacked `2m × n` buffer, the layout
-//! each shard rank packs: phase 3 moves its upper `m` rows inside the
-//! buffer, phase 1 factors the pivot panel in place, and phase 2 is one
-//! reflector application over the contiguous trailing columns. The
-//! paper's §6.4 avoids the phase-3 copy by pairing upper block column
-//! `j − s` with lower block column `j`; that needs the two halves
-//! stored apart and half-height products, which measured slower here
-//! (DESIGN.md §7).
+//! each shard rank packs: phase 1 factors the pivot panel in place, and
+//! phases 3 and 2 run over the contiguous trailing columns. When every
+//! VY chunk of a step is below the packed-GEMM threshold (`k < 16`: all
+//! of `m_s < 16`, and two-level chunks of `k < 16` at larger `m_s`)
+//! they are one descending sweep that reads each column's shifted upper
+//! rows by index offset, applies the reflectors with `z` in registers
+//! and writes the column's `R` entries — §6.4's "no phase-3 copy"
+//! inside the stacked buffer — unless the execution policy fans the
+//! update out to the pool. Otherwise phase 3 moves the upper rows and
+//! phase 2 is one reflector application per chunk. Either way each `R`
+//! row is written once with its sign applied
+//! ([`crate::eliminate::emit_rows`]).
 
-use crate::eliminate::{eliminate_spd, normalize_diagonal, retiled};
+use crate::eliminate::{eliminate_spd, retiled};
 use crate::rep::RepKind;
 use crate::solve::solve_rtdr;
 use crate::Result;
@@ -126,7 +131,6 @@ pub fn factor_spd<T: Scalar>(t: &SymBlockToeplitz<T>, opts: &SchurOptions) -> Re
     let n = t.block_size() * t.num_blocks();
     let mut r = Matrix::zeros(n, n);
     let (m, p, comm_words_per_step) = eliminate_spd(&t_ref, opts, &mut r)?;
-    normalize_diagonal(&mut r);
     crate::contracts::spd_diagonal(&r, "factor_spd");
     Ok(SpdFactor {
         r,
@@ -205,6 +209,32 @@ mod tests {
             };
             let f2 = factor_spd(&t, &par).unwrap();
             assert_eq!(f1.r.max_abs_diff(&f2.r), 0.0, "threads={threads}");
+        }
+        // Scalar input below the packed threshold: sequentially each step
+        // is one inline streamed sweep, while a pooled policy runs the
+        // same per-column kernel in parallel strips after an explicit
+        // shift. The factor's bits (signed zeros included) must agree.
+        let t = workloads::random_spd_scalar(96, 5);
+        let bits = |r: &Matrix| r.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ms in [1usize, 2, 4, 8] {
+            let seq = SchurOptions {
+                block_size: Some(ms),
+                exec: ExecPolicy::sequential(),
+                ..Default::default()
+            };
+            let want = bits(&factor_spd(&t, &seq).unwrap().r);
+            for threads in [2usize, 5] {
+                let par = SchurOptions {
+                    exec: ExecPolicy {
+                        threads,
+                        min_work: 1,
+                        partition: bs_matrix::Partition::Auto,
+                    },
+                    ..seq.clone()
+                };
+                let got = bits(&factor_spd(&t, &par).unwrap().r);
+                assert!(got == want, "m_s={ms} threads={threads}");
+            }
         }
     }
 

@@ -76,10 +76,11 @@ fn op_get<T: Scalar>(a: MatRef<'_, T>, t: Trans, i: usize, j: usize) -> T {
 /// with any extent below a register-tile's worth, packing traffic
 /// dominates and the direct column-axpy loop is faster.
 ///
-/// Shared by the dispatch and the calibration harness so both agree on
+/// Shared by the dispatch, the calibration harness and the block
+/// reflector's streamed apply (`bs_core::rep`), so all three agree on
 /// which kernel a shape runs.
 #[inline]
-pub(crate) fn uses_packed(m: usize, n: usize, k: usize) -> bool {
+pub fn uses_packed(m: usize, n: usize, k: usize) -> bool {
     !(m < 16 || n < 16 || k < 16 || m * n * k <= 16 * 16 * 16)
 }
 

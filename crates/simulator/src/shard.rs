@@ -58,12 +58,12 @@
 
 use crate::analytic::apply_dim;
 use crate::scheme::Scheme;
-use bs_core::eliminate::normalize_diagonal;
+use bs_core::eliminate::emit_rows;
 use bs_core::panel::{factor_chunk, PanelScratch};
 use bs_core::rep::{BlockReflector, RepKind};
 use bs_distmem::{CostModel, Primitive, Proc, WallOpts, World};
 use bs_matrix::ldlt::Signature;
-use bs_matrix::{ExecPolicy, Matrix, Workspace};
+use bs_matrix::{ExecPolicy, MatRef, Matrix, Workspace};
 use bs_perfmodel as pm;
 use bs_toeplitz::{build_generator, SymBlockToeplitz};
 use std::collections::BTreeMap;
@@ -179,20 +179,26 @@ pub fn factor_sharded(t: &SymBlockToeplitz, opts: &ShardOptions) -> ShardRun {
     assemble(run_ranks(&gen.data, m, p, opts, scale), m, p)
 }
 
-/// Gather the per-rank tiles into the full factor and normalize signs,
-/// matching the sequential driver's convention (positive diagonal,
-/// explicit zero sub-diagonal).
+/// Gather the per-rank tiles into the full factor under the sequential
+/// engine's sign rule ([`emit_rows`]: positive diagonal, explicit zero
+/// sub-diagonal). Each row's sign is read first from the diagonal tile
+/// that holds its diagonal entry, then every tile is written once.
 fn assemble(outs: Vec<RankOut>, m: usize, p: usize) -> ShardRun {
     let n = m * p;
-    let mut r = Matrix::zeros(n, n);
-    for out in &outs {
-        for (s, j, coff, width, data) in &out.r_tiles {
-            let tile = Matrix::from_col_major(m, *width, data.clone());
-            r.sub_mut(s * m, j * m + coff, m, *width)
-                .copy_from(tile.rf());
+    let mut neg = vec![false; n];
+    for (s, j, coff, width, data) in outs.iter().flat_map(|o| &o.r_tiles) {
+        if s == j {
+            for b in 0..*width {
+                let i = coff + b;
+                neg[s * m + i] = data[i + b * m] < 0.0;
+            }
         }
     }
-    normalize_diagonal(&mut r);
+    let mut r = Matrix::zeros(n, n);
+    for (s, j, coff, width, data) in outs.iter().flat_map(|o| &o.r_tiles) {
+        let tile = MatRef::from_parts(data, m, *width, m);
+        emit_rows(&mut r, s * m, j * m + coff, tile, &neg[s * m..(s + 1) * m]);
+    }
     ShardRun {
         r,
         wall_s: outs.first().map(|o| o.max_wall).unwrap_or(0.0),

@@ -41,7 +41,11 @@ TIERS+=("workspace")
 echo "==> execution tier: workspace tests under BS_THREADS=1 and BS_THREADS=max"
 # SchurOptions::default() reads BS_THREADS, so these two runs push the
 # whole suite through the forced-sequential and fully-pooled paths; the
-# determinism contract says both must pass identically.
+# determinism contract says both must pass identically. A Schur step
+# whose VY chunks all stream (k < 16) is one inline sweep unless the
+# policy fans the trailing update out to the pool; bs-core's
+# schur::tests::parallel_update_matches_sequential pins the two routes
+# bit for bit on scalar input at m_s = 1, 2, 4, 8 and 2 or 5 threads.
 BS_THREADS=1 cargo test -q --workspace
 BS_THREADS=max cargo test -q --workspace
 TIERS+=("exec")

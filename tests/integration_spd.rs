@@ -147,3 +147,52 @@ fn flop_count_scales_linearly_with_block_size() {
         "flops(m_s=16)/flops(m_s=4) = {ratio}, expected ≈ 4"
     );
 }
+
+/// `max|RᵀR − T| / max|T|`, with `RᵀR` formed by one `syrk` (upper
+/// triangle; both sides are symmetric).
+fn backward_error(r: &Matrix, t: &Matrix) -> f64 {
+    use block_schur::matrix::blas3::{syrk, Trans, Uplo};
+    let n = r.rows();
+    let mut rtr = Matrix::zeros(n, n);
+    syrk(Uplo::Upper, Trans::Yes, 1.0, r.rf(), 0.0, rtr.mt());
+    let (mut err, mut scale) = (0.0f64, 0.0f64);
+    for j in 0..n {
+        for i in 0..=j {
+            err = err.max((rtr[(i, j)] - t[(i, j)]).abs());
+            scale = scale.max(t[(i, j)].abs());
+        }
+    }
+    err / scale
+}
+
+/// The representation-accuracy pin on an ill-conditioned operator: every
+/// representation at `m_s = 8`, and VY2 (the `Factor::new` path) and the
+/// unblocked form at `m_s = 1`, keep `max|RᵀR − T| / max|T|` within 50×
+/// dense Cholesky's on `kms(n, 0.999)`. The multiples measured at
+/// n = 256 are 4.4–26.6× (n = 512 reads 5.1–33×; it is too slow for
+/// the unoptimized tier-1 build). A kernel change that costs accuracy
+/// fails here, not only in a benchmark.
+#[test]
+fn representations_stay_within_50x_dense_cholesky_on_kms_0999() {
+    let n = 256;
+    let t = workloads::kms(n, 0.999);
+    let dense = t.to_dense();
+    let l = block_schur::matrix::chol::cholesky(&dense).unwrap();
+    let chol = backward_error(&l.transpose(), &dense);
+    assert!(chol > 0.0 && chol < 1e-13, "dense Cholesky error {chol:e}");
+    let mut cases: Vec<(RepKind, usize)> = RepKind::ALL.iter().map(|&rep| (rep, 8)).collect();
+    cases.extend([(RepKind::VY2, 1), (RepKind::Sequential, 1)]);
+    for (rep, ms_) in cases {
+        let opts = SchurOptions {
+            rep,
+            block_size: Some(ms_),
+            ..Default::default()
+        };
+        let f = factor_spd(&t, &opts).unwrap();
+        let multiple = backward_error(&f.r, &dense) / chol;
+        assert!(
+            multiple <= 50.0,
+            "rep={rep:?} m_s={ms_}: {multiple:.1}x dense Cholesky's backward error"
+        );
+    }
+}
