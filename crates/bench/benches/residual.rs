@@ -2,14 +2,19 @@
 //! Toeplitz product against the circulant-embedding (FFT) one with its
 //! symbols already built, over a grid of block sizes `m` and block
 //! counts `p`. The `crossover` group is the measurement behind
-//! `FastToeplitzMatVec::pays_off`; the `refine_shapes` group times the
-//! FFT residual at the shapes the benchmark's refinement workload
-//! solves, and the `norm_inf` group the other operator-side quantity
-//! refinement and elimination read, `‖T‖∞`.
+//! `FastToeplitzMatVec::pays_off`; the `refine_shapes` group times both
+//! halves of a refinement round at the shapes the benchmark's
+//! refinement workload solves (the FFT residual, and one `Rᵀ D R`
+//! solve of a `Precision::Mixed` factor), plus the 4-column solve of a
+//! scalar n = 256 factor that a cached serve request runs; the
+//! `norm_inf` group times the other operator-side quantity refinement
+//! and elimination read, `‖T‖∞`.
 //!
 //! Run: `cargo bench -p bs-bench --bench residual`
 
 use bs_bench::harness::{criterion_group, criterion_main, Criterion};
+use bs_core::{Factor, FactorPlan, Factorization, PlanRequest, Precision, RefineOptions, RepKind};
+use bs_matrix::Matrix;
 use bs_toeplitz::{workloads, FastToeplitzMatVec, SymBlockToeplitz};
 
 /// An AR(1) operator of the given shape with a fixed input vector and
@@ -56,6 +61,42 @@ fn bench_refine_shapes(c: &mut Criterion) {
             bch.iter(|| fast.residual(&x, &b));
         });
     }
+    // The other half of a round: one `Rᵀ D R` solve of the `Mixed`
+    // factor, planned as the benchmark plans it (VY2, m_s = m, one
+    // thread).
+    for (m, p) in [(8usize, 64usize), (8, 128)] {
+        let (t, _, b) = operator(m, p);
+        let req = PlanRequest {
+            rep: Some(RepKind::VY2),
+            block_size: Some(m),
+            threads: Some(1),
+            precision: Precision::Mixed,
+            ..PlanRequest::default()
+        };
+        let plan = FactorPlan::new(&t, &req).expect("plan");
+        let factor = Factor::from_plan(&t, plan, RefineOptions::default()).expect("factor");
+        let (r, d) = match factor.factorization() {
+            Factorization::Spd(f) => (&f.r, None),
+            Factorization::Indefinite(f) => (&f.r, Some(f.d.as_slice())),
+        };
+        let mut x = b.clone();
+        g.sample_size(2001);
+        g.bench_function(format!("rtdr_solve/m{m}_p{p}"), |bch| {
+            bch.iter(|| {
+                x.copy_from_slice(&b);
+                bs_core::solve::solve_rtdr_in_place(r, d, &mut x).expect("solve");
+            });
+        });
+    }
+    // A cached serve request's solve: 4 columns on a scalar n = 256
+    // factor.
+    let factor = Factor::new(&workloads::random_spd_scalar(256, 41)).expect("factor");
+    let b = Matrix::from_fn(256, 4, |i, j| ((i * 7 + j * 3) % 17) as f64 - 8.0);
+    let mut x = Matrix::zeros(256, 4);
+    g.sample_size(2001);
+    g.bench_function("solve_cols/m1_p256_cols4", |bch| {
+        bch.iter(|| factor.solve_cols_into(&b, &mut x).expect("solve"));
+    });
     g.finish();
 }
 

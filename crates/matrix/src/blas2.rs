@@ -7,6 +7,8 @@
 
 use crate::blas1;
 use crate::flops;
+#[cfg(target_arch = "x86_64")]
+use crate::kernel::{self, Isa};
 use crate::scalar::Scalar;
 use crate::view::{MatMut, MatRef};
 use crate::{Error, Result};
@@ -135,33 +137,97 @@ pub fn trsv_lower<T: Scalar>(a: MatRef<'_, T>, b: &mut [T], unit_diag: bool) -> 
     Ok(())
 }
 
+/// Rows (`trsv_upper_t`) or columns (`trsv_upper`) one pass over `b`
+/// serves.
+const BLOCK: usize = 4;
+
+/// `true` when the active kernel ISA is AVX2 or AVX-512F: then both
+/// upper solves run their AVX2 compile (same source, same bits).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_compile() -> bool {
+    matches!(kernel::active_isa(), Isa::Avx2 | Isa::Avx512)
+}
+
 /// Solve `U x = b` (non-unit upper triangle) in place in `b`.
 ///
-/// One axpy per column over split slices, so the inner loop carries no
-/// bounds check and vectorizes; every `b[i]` still takes its terms one
-/// column at a time.
+/// Every `b[i]` takes its terms one column at a time, last column
+/// first, and a column whose `x_j` is exactly `±0` adds none. The
+/// columns go in descending groups of four: the group's
+/// 4 × 4 diagonal block is solved first, then one pass over the rows
+/// above the group subtracts its four terms from each row, last column
+/// first. A group with an `x_j` of `±0` falls back to one axpy per
+/// nonzero column instead, so signed zeros and `0·∞` come out as they
+/// would column by column. The order is fixed in the source and Rust
+/// never fuses a multiply-add, so the AVX2 compile that
+/// [`crate::kernel::active_isa`] selects returns the baseline compile's
+/// bits.
+///
+/// A zero diagonal is reported as `SingularTriangle` at the largest such
+/// index, the first one the solve reaches; what `b` holds after an error
+/// is unspecified.
 pub fn trsv_upper<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!(b.len(), n);
     metrics::incr(Counter::TriangularSolves);
     flops::add_l2((n * n) as u64);
-    for j in (0..n).rev() {
-        let col = a.col(j);
-        let d = col[j];
-        if d == T::ZERO {
-            return Err(Error::SingularTriangle { index: j });
+    #[cfg(target_arch = "x86_64")]
+    if avx2_compile() {
+        // SAFETY: [isa avx2 — `avx2_compile` holds only when `active_isa`
+        // resolved Avx2 (AVX2 and FMA detected by `isa_supported`) or
+        // Avx512 (AVX-512F detected; every such CPU implements AVX2)]
+        return unsafe { kernel::x86::trsv_upper_avx2(a, b) };
+    }
+    upper_body(a, b)
+}
+
+/// [`trsv_upper`]'s arithmetic. Always inlined, so the AVX2 wrapper
+/// compiles a copy of its own.
+#[inline(always)]
+pub(crate) fn upper_body<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
+    let mut hi = b.len();
+    while hi > 0 {
+        let lo = hi.saturating_sub(BLOCK);
+        for j in (lo..hi).rev() {
+            let col = a.col(j);
+            let d = col[j];
+            if d == T::ZERO {
+                return Err(Error::SingularTriangle { index: j });
+            }
+            let (head, tail) = b.split_at_mut(j);
+            tail[0] /= d;
+            axpy_sub(tail[0], &col[lo..j], &mut head[lo..]);
         }
-        let (head, tail) = b.split_at_mut(j);
-        tail[0] /= d;
-        let bj = tail[0];
-        if bj != T::ZERO {
-            for (bi, &c) in head.iter_mut().zip(&col[..j]) {
-                *bi -= bj * c;
+        let (head, x) = b.split_at_mut(lo);
+        match x[..hi - lo] {
+            [x0, x1, x2, x3] if [x0, x1, x2, x3].iter().all(|&v| v != T::ZERO) => {
+                let c = |k: usize| &a.col(lo + k)[..lo];
+                for ((((bi, &c0), &c1), &c2), &c3) in
+                    head.iter_mut().zip(c(0)).zip(c(1)).zip(c(2)).zip(c(3))
+                {
+                    *bi = (((*bi - x3 * c3) - x2 * c2) - x1 * c1) - x0 * c0;
+                }
+            }
+            _ => {
+                for j in (lo..hi).rev() {
+                    axpy_sub(x[j - lo], &a.col(j)[..lo], head);
+                }
             }
         }
+        hi = lo;
     }
     Ok(())
+}
+
+/// `y -= alpha * x`, skipped when `alpha` is exactly `±0`.
+#[inline(always)]
+fn axpy_sub<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+    if alpha != T::ZERO {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi -= alpha * xi;
+        }
+    }
 }
 
 /// Solve `Lᵀ x = b` with `L` lower triangular, in place in `b`.
@@ -197,41 +263,110 @@ const LANES: usize = 8;
 /// dot of `col[..full]` with `x[..full]` taken in 8 partial sums and
 /// reduced by one fixed pairwise tree. The partial sums are independent,
 /// so the dot vectorizes; the tail terms are subtracted one at a time,
-/// so rows shorter than one lane group keep the plain serial order. The
-/// order is fixed and Rust never fuses a multiply-add, so every target
-/// and every set of enabled target features returns the same bits.
+/// so rows shorter than one lane group keep the plain serial order.
+///
+/// Rows `8g .. 8g + 8` share `full = 8g`, so their partial sums do not
+/// depend on each other: one pass over `x[..full]` accumulates four
+/// rows' sums (4 × 8 independent chains, each in ascending
+/// order), and the four rows are then finished in order. Rows of a
+/// group left over when fewer than four remain go one at a time. The
+/// order is fixed in the source and Rust never fuses a multiply-add, so
+/// the AVX2 compile that [`crate::kernel::active_isa`] selects returns the
+/// baseline compile's bits.
+///
+/// A zero diagonal is reported as `SingularTriangle` at the smallest
+/// such index, the first one the solve reaches; what `b` holds after an
+/// error is unspecified.
 pub fn trsv_upper_t<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!(b.len(), n);
     metrics::incr(Counter::TriangularSolves);
     flops::add_l2((n * n) as u64);
-    for j in 0..n {
-        let col = a.col(j);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_compile() {
+        // SAFETY: [isa avx2 — `avx2_compile` holds only when `active_isa`
+        // resolved Avx2 (AVX2 and FMA detected by `isa_supported`) or
+        // Avx512 (AVX-512F detected; every such CPU implements AVX2)]
+        return unsafe { kernel::x86::trsv_upper_t_avx2(a, b) };
+    }
+    upper_t_body(a, b)
+}
+
+/// [`trsv_upper_t`]'s arithmetic. Always inlined, so the AVX2 wrapper
+/// compiles a copy of its own.
+#[inline(always)]
+pub(crate) fn upper_t_body<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
+    let n = b.len();
+    let mut j = 0;
+    while j < n {
         let full = j - j % LANES;
-        let (x, rest) = b.split_at_mut(j);
-        let mut s = rest[0];
-        if full > 0 {
+        if full > 0 && (full + LANES).min(n) - j >= BLOCK {
+            let cols = [a.col(j), a.col(j + 1), a.col(j + 2), a.col(j + 3)];
+            let sums = lane_sums4(cols, &b[..full]);
+            for (k, (col, sum)) in cols.into_iter().zip(sums).enumerate() {
+                finish_row(col, b, j + k, full, sum)?;
+            }
+            j += BLOCK;
+        } else {
+            let col = a.col(j);
             let mut acc = [T::ZERO; LANES];
             for (c, xs) in col[..full]
                 .chunks_exact(LANES)
-                .zip(x[..full].chunks_exact(LANES))
+                .zip(b[..full].chunks_exact(LANES))
             {
                 for l in 0..LANES {
                     acc[l] += c[l] * xs[l];
                 }
             }
-            s -= lane_sum(acc);
+            finish_row(col, b, j, full, lane_sum(acc))?;
+            j += 1;
         }
-        for (&c, &xt) in col[full..j].iter().zip(&x[full..]) {
-            s -= c * xt;
-        }
-        let d = col[j];
-        if d == T::ZERO {
-            return Err(Error::SingularTriangle { index: j });
-        }
-        rest[0] = s / d;
     }
+    Ok(())
+}
+
+/// The reduced lane sums of four rows that share `full = x.len()`,
+/// from one pass over `x`: chain `l` of row `k` is `Σ cols[k][t]·x[t]`
+/// over `t ≡ l (mod 8)`, ascending, and each row's 8 chains go through
+/// [`lane_sum`], exactly as a single row takes them.
+#[inline(always)]
+fn lane_sums4<T: Scalar>(cols: [&[T]; BLOCK], x: &[T]) -> [T; BLOCK] {
+    let full = x.len();
+    let mut acc = [[T::ZERO; LANES]; BLOCK];
+    let [c0, c1, c2, c3] = cols.map(|c| c[..full].chunks_exact(LANES));
+    for ((((xs, c0), c1), c2), c3) in x.chunks_exact(LANES).zip(c0).zip(c1).zip(c2).zip(c3) {
+        for (acc, c) in acc.iter_mut().zip([c0, c1, c2, c3]) {
+            for l in 0..LANES {
+                acc[l] += c[l] * xs[l];
+            }
+        }
+    }
+    // Without this barrier LLVM's SLP vectorizer bundles the four rows'
+    // finished sums and, working up from them, every chain across rows:
+    // each vector would then gather one entry from each of four columns.
+    // Through memory, the loop vectorizes along the lanes instead.
+    std::hint::black_box(acc).map(lane_sum)
+}
+
+/// Finish row `j` of [`trsv_upper_t`] from `sum`, its reduced lane sums
+/// over `x[..full]`: subtract it, then the `< 8` tail terms one at a
+/// time, then the zero-diagonal check and the divide.
+#[inline(always)]
+fn finish_row<T: Scalar>(col: &[T], b: &mut [T], j: usize, full: usize, sum: T) -> Result<()> {
+    let (x, rest) = b.split_at_mut(j);
+    let mut s = rest[0];
+    if full > 0 {
+        s -= sum;
+    }
+    for (&c, &xt) in col[full..j].iter().zip(&x[full..]) {
+        s -= c * xt;
+    }
+    let d = col[j];
+    if d == T::ZERO {
+        return Err(Error::SingularTriangle { index: j });
+    }
+    rest[0] = s / d;
     Ok(())
 }
 
@@ -494,6 +629,123 @@ mod tests {
                     .map(|(g, w)| (g - w).abs() / w.abs().max(1.0))
                     .fold(0.0f64, f64::max);
                 assert!(err < 1e-12, "n={n} seed={seed}: lane split drifted {err:e}");
+            }
+        }
+    }
+
+    /// Orders that leave partial groups of four rows or columns.
+    const PARTIAL: [usize; 9] = [2, 3, 4, 5, 12, 13, 20, 31, 33];
+
+    /// The public upper solves equal the bodies compiled for the
+    /// baseline target (and the AVX2 wrappers, where the CPU has AVX2)
+    /// bit for bit, and all of them follow the written-out order.
+    fn dispatched_solves_equal_the_baseline_compile<T: Scalar>() {
+        for n in ORDERS.into_iter().chain(PARTIAL) {
+            let (u, b) = upper_system::<T>(n, 29 + n as u64);
+            let mut want_t = b.clone();
+            lane_order_upper_t(&u, &mut want_t);
+            let mut want = b.clone();
+            axpy_order_upper(&u, &mut want);
+            let mut runs: Vec<(&str, Vec<T>, Vec<T>)> = Vec::new();
+            let (mut x_t, mut x) = (b.clone(), b.clone());
+            trsv_upper_t(u.rf(), &mut x_t).unwrap();
+            trsv_upper(u.rf(), &mut x).unwrap();
+            runs.push(("public", x_t, x));
+            let (mut x_t, mut x) = (b.clone(), b.clone());
+            upper_t_body(u.rf(), &mut x_t).unwrap();
+            upper_body(u.rf(), &mut x).unwrap();
+            runs.push(("baseline", x_t, x));
+            #[cfg(target_arch = "x86_64")]
+            if kernel::isa_supported(Isa::Avx2) {
+                let (mut x_t, mut x) = (b.clone(), b.clone());
+                // SAFETY: [isa avx2 — `isa_supported` detected it above]
+                unsafe {
+                    kernel::x86::trsv_upper_t_avx2(u.rf(), &mut x_t).unwrap();
+                    kernel::x86::trsv_upper_avx2(u.rf(), &mut x).unwrap();
+                }
+                runs.push(("avx2", x_t, x));
+            }
+            for (name, x_t, x) in runs {
+                let tag = format!("{} n={n} {name}", T::NAME);
+                assert_eq!(bits(&x_t), bits(&want_t), "{tag}: trsv_upper_t");
+                assert_eq!(bits(&x), bits(&want), "{tag}: trsv_upper");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_solves_equal_the_baseline_compile_f64() {
+        dispatched_solves_equal_the_baseline_compile::<f64>();
+    }
+
+    #[test]
+    fn dispatched_solves_equal_the_baseline_compile_f32() {
+        dispatched_solves_equal_the_baseline_compile::<f32>();
+    }
+
+    /// `trsm` hands the solves diagonal blocks of a larger matrix: the
+    /// written orders hold through a view whose column stride is not its
+    /// row count.
+    fn written_orders_hold_through_strided_views<T: Scalar>() {
+        for n in ORDERS.into_iter().chain(PARTIAL) {
+            let (big, _) = upper_system::<T>(n + 5, 41 + n as u64);
+            let view = big.rf().sub(2, 2, n, n);
+            assert_ne!(view.cstride(), n);
+            let u = Matrix::from_fn(n, n, |i, j| view.get(i, j));
+            let (_, b) = upper_system::<T>(n, 43 + n as u64);
+            let mut got_t = b.clone();
+            trsv_upper_t(view, &mut got_t).unwrap();
+            let mut want_t = b.clone();
+            lane_order_upper_t(&u, &mut want_t);
+            let tag = format!("{} n={n}", T::NAME);
+            assert_eq!(bits(&got_t), bits(&want_t), "{tag}: trsv_upper_t");
+            let mut got = b.clone();
+            trsv_upper(view, &mut got).unwrap();
+            let mut want = b;
+            axpy_order_upper(&u, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{tag}: trsv_upper");
+        }
+    }
+
+    #[test]
+    fn written_orders_hold_through_strided_views_f64() {
+        written_orders_hold_through_strided_views::<f64>();
+    }
+
+    #[test]
+    fn written_orders_hold_through_strided_views_f32() {
+        written_orders_hold_through_strided_views::<f32>();
+    }
+
+    /// A four-column group whose `x_j` include an exact `±0` must skip
+    /// those columns as the column-by-column order does: no `0·∞`, and no
+    /// `-0.0` turned into `+0.0` by subtracting a zero term.
+    #[test]
+    fn exact_zero_multipliers_keep_the_column_order() {
+        for n in PARTIAL.into_iter().chain([64, 65]) {
+            let (mut u, b) = upper_system::<f64>(n, 53 + n as u64);
+            // b = e₀ makes every x_j but x_0 exactly +0; the ∞ sits in
+            // the last column, above the diagonal, in the one row whose
+            // value is not zero.
+            u[(0, n - 1)] = f64::INFINITY;
+            let mut e0 = vec![0.0; n];
+            e0[0] = 1.0;
+            // -0.0 below the first entry: every x_j but x_0 is -0.0, and
+            // every row but the first stays -0.0 unless a zero is
+            // subtracted from it.
+            let mut neg_zero = vec![-0.0; n];
+            neg_zero[0] = b[0];
+            for (name, rhs) in [("e0", e0), ("-0.0", neg_zero)] {
+                let mut got = rhs.clone();
+                trsv_upper(u.rf(), &mut got).unwrap();
+                let mut want = rhs.clone();
+                axpy_order_upper(&u, &mut want);
+                assert_eq!(bits(&got), bits(&want), "n={n} b={name}: trsv_upper");
+                let mut got_t = rhs.clone();
+                trsv_upper_t(u.rf(), &mut got_t).unwrap();
+                let mut want_t = rhs;
+                lane_order_upper_t(&u, &mut want_t);
+                assert_eq!(bits(&got_t), bits(&want_t), "n={n} b={name}: trsv_upper_t");
             }
         }
     }

@@ -362,8 +362,8 @@ pub(crate) fn kernel_for<T: Scalar>(isa: Isa) -> Kernel<T> {
     }
 }
 
-/// The ISA the BLAS-3 drivers resolve right now:
-/// [`set_override`] > `BS_KERNEL` > native detection.
+/// The ISA the BLAS-3 drivers and the upper triangular solves resolve
+/// right now: [`set_override`] > `BS_KERNEL` > native detection.
 pub fn active_isa() -> Isa {
     let choice = code_to_choice(OVERRIDE.load(Ordering::Relaxed))
         .or_else(env_choice)

@@ -1,7 +1,8 @@
 //! AVX2+FMA and (behind the `avx512` cargo feature) AVX-512F
-//! microkernels for `x86_64`.
+//! microkernels for `x86_64`, and the AVX2 compile of the two upper
+//! triangular solves.
 //!
-//! Both kernels compute each `C(i, j)` entry through the same
+//! Both microkernels compute each `C(i, j)` entry through the same
 //! per-entry accumulation chain as the portable kernel — one partial
 //! sum per entry, `p` in packed order — so for a fixed kernel choice
 //! results stay bitwise identical across any strip decomposition. They
@@ -9,10 +10,41 @@
 //! (one rounding per term instead of two), which is why switching
 //! kernels may change the last bits while switching thread counts
 //! never does.
+//!
+//! The triangular-solve wrappers enable `avx2` only and call the same
+//! source as the baseline compile. Rust never contracts `a*b + c` into
+//! an FMA, so they return the baseline's bits at twice its vector width.
 
 use super::{MR, NR};
-use crate::view::MatMut;
+use crate::blas2;
+use crate::scalar::Scalar;
+use crate::view::{MatMut, MatRef};
+use crate::Result;
 use std::arch::x86_64::*;
+
+/// [`blas2::trsv_upper_t`]'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+// SAFETY: [isa avx2 — reached only from `trsv_upper_t`, which calls it
+// when `active_isa` resolves an AVX2-capable ISA]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn trsv_upper_t_avx2<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
+    blas2::upper_t_body(a, b)
+}
+
+/// [`blas2::trsv_upper`]'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+// SAFETY: [isa avx2 — reached only from `trsv_upper`, which calls it
+// when `active_isa` resolves an AVX2-capable ISA]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn trsv_upper_avx2<T: Scalar>(a: MatRef<'_, T>, b: &mut [T]) -> Result<()> {
+    blas2::upper_body(a, b)
+}
 
 /// `MR x NR` microkernel on AVX2+FMA: each of the `NR` accumulator
 /// columns is a pair of 4-lane `__m256d` registers covering the 8 rows.

@@ -54,10 +54,13 @@ echo "==> kernel tier: full workspace suite forced onto the portable microkernel
 # BS_KERNEL=portable pins the scalar microkernel: every test must pass
 # with SIMD dispatch disabled (the fallback the engine degrades to on
 # hardware without AVX2/NEON). The upper triangular solves
-# (blas2::trsv_upper_t / trsv_upper) have no ISA dispatch: one fixed
-# summation order and no FMA give the same bits on every target, so a
-# solve's bits depend on the factor it reads, not on the tier.
-# blas2's unit tests pin that order.
+# (blas2::trsv_upper_t / trsv_upper) dispatch too: kernel::active_isa
+# picks their AVX2 compile on AVX2/AVX-512F hosts, and this tier runs
+# their baseline compile. Both compiles share one source with one fixed
+# order and no FMA, so a solve's bits depend on the factor it reads,
+# not on the tier; blas2's dispatch test
+# (dispatched_solves_equal_the_baseline_compile_{f64,f32}) pins the
+# public kernels to the baseline bodies and the written-out order.
 BS_KERNEL=portable cargo test -q --workspace
 TIERS+=("kernel")
 
